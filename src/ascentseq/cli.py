@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure (a counterexample or
 mismatch is printed), 2 usage error.  All output is deterministic for a
-given command line, independent of --threads.  Each command's JSON
-output conforms to the versioned schema shipped under schemas/.
+given command line.  Each command's JSON output conforms to the
+versioned schema shipped under schemas/.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", required=True, help='e.g. "021,0010"')
     p.add_argument("--n", "--horizon", dest="horizon", type=int, required=True)
     p.add_argument("--format", choices=("json", "tsv", "bfile"), default="json")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
 
     p = sub.add_parser("series", help="expand a catalog generating function")
@@ -111,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args, parser) -> int:
     _check_horizon(parser, args.horizon)
-    cv = count_avoiders(args.patterns, args.horizon, workers=max(1, args.threads))
+    cv = count_avoiders(args.patterns, args.horizon)
     if args.format == "json":
         text = _json(cv.to_json_dict())
     elif args.format == "tsv":
@@ -244,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
+    except ArithmeticError as exc:
+        sys.stderr.write(f"error: internal check failed: {exc}\n")
+        return 1
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

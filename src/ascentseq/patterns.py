@@ -9,7 +9,6 @@ pairwise <, > and = comparisons; otherwise the word avoids it.
 from __future__ import annotations
 
 import bisect
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -125,11 +124,10 @@ class _Matcher:
     from strictly earlier positions.
     """
 
-    __slots__ = ("pattern", "m", "steps", "levels", "last_seen", "last_values")
+    __slots__ = ("m", "steps", "levels", "last_seen", "last_values")
 
     def __init__(self, pattern: Pattern):
         letters = pattern.letters
-        self.pattern = letters
         self.m = len(letters)
         # steps[k] drives the transition consuming pattern position k:
         # (True, idx)  -> pattern[k] was already bound; the new letter must
@@ -271,9 +269,20 @@ def _coerce_patterns(patterns) -> PatternSet:
     return PatternSet.of(*patterns)
 
 
-def _prepare_walk(n: int, patterns: PatternSet, prefix: tuple[int, ...]):
-    """Shared setup for the avoider DFS: matcher construction plus prefix
-    replay.  Returns None when the prefix already contains a pattern.
+def _candidates(native_021: bool, asc: int, lastpos: int) -> Iterable[int]:
+    if not native_021 or lastpos <= 1:
+        return range(asc + 2)
+    if lastpos > asc + 1:
+        return (0,)
+    return (0, *range(lastpos, asc + 2))
+
+
+def _walk(n: int, patterns: PatternSet, on_node) -> None:
+    """DFS over the avoider prefixes of length 0..n in lexicographic
+    preorder, calling on_node(depth, word) at every node; only
+    word[:depth] is meaningful and the list must not be kept.  A branch is
+    cut as soon as extending would complete any pattern (containment is
+    monotone under extension).
 
     When 021 is among the patterns its avoidance is enforced structurally:
     a 021-avoider is exactly an ascent sequence whose positive letters are
@@ -282,42 +291,7 @@ def _prepare_walk(n: int, patterns: PatternSet, prefix: tuple[int, ...]):
     rest = [p for p in patterns if p.letters != PATTERN_021]
     native_021 = len(rest) < len(patterns)
     matchers = [_Matcher(p) for p in rest]
-    word = list(prefix) + [0] * (n - len(prefix))
-    asc = 0
-    lastpos = 0
-    for i, letter in enumerate(prefix):
-        if any(m.completes(letter) for m in matchers):
-            return None
-        for m in matchers:
-            m.push(letter)
-        if i and letter > prefix[i - 1]:
-            asc += 1
-        if letter:
-            lastpos = letter
-    return matchers, native_021, word, asc, lastpos
-
-
-def _candidates(native_021: bool, asc: int, lastpos: int) -> Iterable[int]:
-    if not native_021:
-        return range(asc + 2)
-    if lastpos <= 1:
-        return range(asc + 2)
-    if lastpos > asc + 1:
-        return (0,)
-    return (0, *range(lastpos, asc + 2))
-
-
-def _walk_avoiders(n, patterns: PatternSet, on_node, prefix=()) -> None:
-    """DFS over avoider prefixes extending `prefix`, calling
-    on_node(depth, word) at every node of depth len(prefix)..n; only
-    word[:depth] is meaningful and the list must not be kept.  A branch is
-    cut as soon as extending would complete any pattern (containment is
-    monotone under extension).
-    """
-    setup = _prepare_walk(n, patterns, tuple(prefix))
-    if setup is None:
-        return
-    matchers, native_021, word, asc0, lastpos0 = setup
+    word = [0] * n
 
     def rec(depth: int, asc: int, lastpos: int) -> None:
         on_node(depth, word)
@@ -337,20 +311,8 @@ def _walk_avoiders(n, patterns: PatternSet, on_node, prefix=()) -> None:
             for m, tok in zip(matchers, tokens):
                 m.pop(tok)
 
-    d0 = len(prefix)
-    if d0 == 0:
-        on_node(0, word)
-        if n == 0:
-            return
-        if any(m.completes(0) for m in matchers):
-            return
-        word[0] = 0
-        tokens = [m.push(0) for m in matchers]
-        rec(1, 0, 0)
-        for m, tok in zip(matchers, tokens):
-            m.pop(tok)
-    else:
-        rec(d0, asc0, lastpos0)
+    # The root has prev = asc = -1, so 0 is its only candidate.
+    rec(0, -1, 0)
 
 
 def avoiders(
@@ -360,43 +322,19 @@ def avoiders(
     max_length: int = MAX_LENGTH,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the length-n ascent sequences avoiding every given pattern,
-    in lexicographic order.
+    in lexicographic order.  The whole class is collected before the
+    first one is yielded.
     """
     _check_length(n, max_length)
     pats = _coerce_patterns(patterns)
-    setup = _prepare_walk(n, pats, ())
-    if setup is None:
-        return
-    matchers, native_021, word, _, _ = setup
-    if n == 0:
-        yield ()
-        return
-    if any(m.completes(0) for m in matchers):
-        return
+    found: list[tuple[int, ...]] = []
 
-    def rec(depth: int, asc: int, lastpos: int) -> Iterator[tuple[int, ...]]:
+    def on_node(depth, word):
         if depth == n:
-            yield tuple(word)
-            return
-        prev = word[depth - 1]
-        for letter in _candidates(native_021, asc, lastpos):
-            if any(m.completes(letter) for m in matchers):
-                continue
-            word[depth] = letter
-            tokens = [m.push(letter) for m in matchers]
-            yield from rec(
-                depth + 1,
-                asc + 1 if letter > prev else asc,
-                letter if letter else lastpos,
-            )
-            for m, tok in zip(matchers, tokens):
-                m.pop(tok)
+            found.append(tuple(word))
 
-    word[0] = 0
-    tokens = [m.push(0) for m in matchers]
-    yield from rec(1, 0, 0)
-    for m, tok in zip(matchers, tokens):
-        m.pop(tok)
+    _walk(n, pats, on_node)
+    yield from found
 
 
 @dataclass(frozen=True)
@@ -424,67 +362,23 @@ class CountVector:
         return "".join(f"{n} {c}\n" for n, c in enumerate(self.counts))
 
 
-def _count_below(args) -> list[int]:
-    """Pool worker: finish the DFS below each prefix, tallying depths
-    strictly beyond the prefix length.
-    """
-    n, pattern_strings, prefixes = args
-    pats = PatternSet.of(*pattern_strings)
-    counts = [0] * (n + 1)
-    for prefix in prefixes:
-        d = len(prefix)
-
-        def on_node(depth, word, _d=d):
-            if depth > _d:
-                counts[depth] += 1
-
-        _walk_avoiders(n, pats, on_node, prefix)
-    return counts
-
-
 def count_avoiders(
     patterns: PatternSet | Iterable[Word | str] | str,
     horizon: int,
     *,
     max_length: int = MAX_LENGTH,
-    workers: int = 1,
 ) -> CountVector:
     """Count avoiders of every length up to the horizon in one pruned
     depth-first sweep (every avoider is a node of the search tree).
-
-    With workers > 1 the tree is partitioned below depth-2 prefixes
-    across a process pool; counts are identical for any worker count.
     """
     _check_length(horizon, max_length)
     pats = _coerce_patterns(patterns)
     counts = [0] * (horizon + 1)
-    if workers <= 1 or horizon < 4:
 
-        def on_node(depth, word):
-            counts[depth] += 1
+    def on_node(depth, word):
+        counts[depth] += 1
 
-        _walk_avoiders(horizon, pats, on_node)
-        return CountVector(pats, horizon, tuple(counts))
-
-    split = 2
-    prefixes: list[tuple[int, ...]] = []
-
-    def collect(depth, word):
-        if depth < split:
-            counts[depth] += 1
-        else:
-            prefixes.append(tuple(word[:depth]))
-
-    _walk_avoiders(split, pats, collect)
-    counts[split] = len(prefixes)
-    pattern_strings = tuple(str(p) for p in pats)
-    chunks = [prefixes[i::workers] for i in range(workers)]
-    jobs = [(horizon, pattern_strings, chunk) for chunk in chunks if chunk]
-    if jobs:
-        with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-            for part in pool.map(_count_below, jobs):
-                for depth in range(split + 1, horizon + 1):
-                    counts[depth] += part[depth]
+    _walk(horizon, pats, on_node)
     return CountVector(pats, horizon, tuple(counts))
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import MAX_LENGTH, _check_length
-from .patterns import PatternSet, _coerce_patterns, _walk_avoiders, normalize_pattern
+from .patterns import PatternSet, _coerce_patterns, _walk, normalize_pattern
 from .series import P, PowerSeries, expand_ratio
 
 
@@ -81,7 +81,7 @@ def pjum_distribution_brute(
             prev = letter
         rows[depth - 1][asc - mx] += 1
 
-    _walk_avoiders(horizon, pats, on_node)
+    _walk(horizon, pats, on_node)
     return DistributionTable(
         pats, "pjum", horizon, tuple(_trim(r) for r in rows)
     )
@@ -159,7 +159,7 @@ def f_series_1001(i_max: int, order: int) -> list[PowerSeries]:
 
     Truncation makes the infinite sums finite: pjum = j needs length at
     least 2j+1, so f_j vanishes to the working order once 2j+1 > order.
-    The system is iterated to a fixed point and the equations re-asserted.
+    The system is iterated to a fixed point and the equations re-checked.
     """
     if i_max < 0 or order < 1:
         raise ValueError("need i_max >= 0 and order >= 1")
@@ -186,15 +186,17 @@ def f_series_1001(i_max: int, order: int) -> list[PowerSeries]:
         f = new
     else:
         raise ArithmeticError("1001 series system did not reach a fixed point")
-    # Re-assert the recurrences on the fixed point.
+    # Re-check the recurrences on the fixed point.
     total = zero
     for s in f:
         total = total + s
-    assert f[0] == x_over_1mx + C * total
+    if f[0] != x_over_1mx + C * total:
+        raise ArithmeticError("1001 fixed point violates the f_0 equation")
     tail = total
     for i in range(1, j_top + 1):
         tail = tail - f[i - 1]
-        assert f[i] == A * f[i - 1] + B * tail
+        if f[i] != A * f[i - 1] + B * tail:
+            raise ArithmeticError(f"1001 fixed point violates the f_{i} equation")
     return f[: i_max + 1]
 
 

@@ -13,13 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MAX_LENGTH, _check_length
 from .patterns import (
     Pattern,
     PatternSet,
-    _walk_avoiders,
+    _walk,
     all_patterns,
     catalan,
     normalize_pattern,
@@ -98,6 +96,8 @@ def pattern_avoidance_table(
     """Count vector of {021, tau}-avoiders for every normalized pattern
     tau of the given length, all from one enumeration sweep.
     """
+    import numpy as np
+
     _check_length(horizon, max_length)
     pats = all_patterns(pattern_length)
     index = {p.letters: i for i, p in enumerate(pats)}
@@ -125,9 +125,10 @@ def pattern_avoidance_table(
             rows[depth][fill[depth]] = word[:depth]
             fill[depth] += 1
 
-    _walk_avoiders(horizon, PatternSet.of("021"), on_node)
+    _walk(horizon, PatternSet.of("021"), on_node)
     for n in range(1, horizon + 1):
-        assert fill[n] == catalan(n)
+        if fill[n] != catalan(n):
+            raise ArithmeticError(f"{fill[n]} 021-avoiders of length {n}, not {catalan(n)}")
 
     powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
     containing = np.zeros((horizon + 1, npats), dtype=np.int64)

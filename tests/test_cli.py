@@ -30,13 +30,13 @@ class TestCount:
         data = json.loads(out)
         assert data["counts"] == [1, 1, 2, 5, 14, 41, 123]
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, seq, _ = run(capsys, "count", "--patterns", "021,0110", "--n", "8")
-        _, par, _ = run(
-            capsys, "count", "--patterns", "021,0110", "--n", "8",
-            "--threads", "3",
-        )
-        assert seq == par
+    def test_threads_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                capsys, "count", "--patterns", "021,0110", "--n", "8",
+                "--threads", "3",
+            )
+        assert exc.value.code == 2
 
     def test_deterministic_bytes(self, capsys):
         args = ("count", "--patterns", "021,1200", "--n", "7")
@@ -82,6 +82,17 @@ class TestSeries:
         )
         assert code == 1
         assert "verification failed" in err
+
+    def test_internal_check_failure_exits_one(self, capsys, monkeypatch):
+        def broken(pattern, order):
+            raise ArithmeticError("series is not integral")
+
+        monkeypatch.setattr(cli, "gf_catalog", broken)
+        code, out, err = run(capsys, "series", "--pattern", "0011", "--order", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal check failed: series is not integral\n"
+        assert "Traceback" not in err
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "series", "--pattern", "0111", "--order", "5")

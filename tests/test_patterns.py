@@ -159,10 +159,16 @@ class TestCountVector:
         cv = count_avoiders("021,2013", 9)
         assert cv.counts == tuple(CATALAN[:10])
 
-    def test_workers_agree(self):
-        seq = count_avoiders("021,0110", 9)
-        par = count_avoiders("021,0110", 9, workers=3)
-        assert seq.counts == par.counts
+    @pytest.mark.parametrize(
+        "patset",
+        ["021", "021,0010", "021,1001", "021,0000", "0011", "0102,0100",
+         "0", "01", "00", "021,01230"],
+    )
+    def test_counts_match_filtered(self, patset):
+        counts = count_avoiders(patset, 7).counts
+        names = patset.split(",")
+        for n in range(0, 8):
+            assert counts[n] == len(brute_force_avoiders(n, names))
 
     def test_serialization(self):
         cv = count_avoiders("021,0010", 4)
