@@ -24,11 +24,11 @@ print("   ", expand_ratio(P(1, -1) * P(1, -4, 4, 1), P(1, -2) ** 3, 11).int_coef
 print("\nAn algebraic entry, the 1001 class:")
 print("   ", gf_catalog("1001", 11).int_coeffs())
 
-print("\nEach catalog entry equals its brute-force count vector:")
+print("\nEach catalog entry equals its searched count vector:")
 for name in ("0111", "1110", "1203"):
     series = gf_catalog(name, 9).int_coeffs()
-    brute = count_avoiders(f"021,{name}", 9).counts
-    print(f"    {name}: series == search -> {series == brute}")
+    searched = count_avoiders(f"021,{name}", 9).counts
+    print(f"    {name}: series == search -> {series == searched}")
 
 print("\nSquare roots are computed by coefficient matching:")
 s = PowerSeries.from_polynomial(P(1, -4, 2, 0, 1), 8).sqrt()

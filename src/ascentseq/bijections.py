@@ -24,7 +24,7 @@ from .core import (
     jump_count,
     staircase_words,
 )
-from .patterns import PatternSet, avoiders, contains
+from .patterns import PatternSet, avoiders, contains, count_avoiders
 
 
 class MapCaseError(ValueError):
@@ -457,7 +457,7 @@ def verify_bijection(name: str, n: int, *, max_length: int = MAX_LENGTH) -> Bije
     """
     _check_length(n, max_length)
     bij = BIJECTIONS[name]
-    codomain_size = sum(1 for _ in avoiders(n, bij.codomain))
+    codomain_size = count_avoiders(bij.codomain, n, max_length=max_length).counts[n]
     images: set[tuple[int, ...]] = set()
     failures: list[dict] = []
     domain_size = 0

@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verify-n",
         type=int,
         default=None,
-        help="cross-check coefficients against brute force up to this length",
+        help="cross-check coefficients against the search count up to this length",
     )
     p.add_argument("--out")
 
@@ -127,17 +127,17 @@ def _cmd_series(args, parser) -> int:
     coeffs = series.int_coeffs()
     if args.verify_n is not None:
         _check_horizon(parser, args.verify_n)
-        brute = count_avoiders(
+        searched = count_avoiders(
             PatternSet.of("021", args.pattern), args.verify_n
         ).counts
         upto = min(args.verify_n, args.order)
-        if brute[: upto + 1] != coeffs[: upto + 1]:
+        if searched[: upto + 1] != coeffs[: upto + 1]:
             bad = next(
-                n for n in range(upto + 1) if brute[n] != coeffs[n]
+                n for n in range(upto + 1) if searched[n] != coeffs[n]
             )
             sys.stderr.write(
                 f"verification failed for {args.pattern} at n={bad}: "
-                f"brute force {brute[bad]} != series {coeffs[bad]}\n"
+                f"search count {searched[bad]} != series {coeffs[bad]}\n"
             )
             return 1
     if args.format == "json":

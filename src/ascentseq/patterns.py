@@ -315,6 +315,45 @@ def _walk(n: int, patterns: PatternSet, on_node) -> None:
     rec(0, -1, 0)
 
 
+def _count_021(n: int, patterns: PatternSet) -> list[int]:
+    """Avoider counts b_0..b_n for a set containing 021: the recursion of
+    _walk, with each subtree's count vector memoized.  The positive
+    letters never decrease, so with L = max(lastpos, 1) every later letter
+    is 0, L or above L, and a value bound in a partial match acts only as
+    its class: 0, inside (0, L), or L.  So nodes with equal keys (height
+    left, last letter 0 or not, slack asc + 1 - L, and every matcher's
+    levels relabelled onto those classes) have isomorphic subtrees.
+    """
+    matchers = [_Matcher(p) for p in patterns if p.letters != PATTERN_021]
+    memo: dict[tuple, list[int]] = {}
+
+    def rec(height: int, prev: int, asc: int, lastpos: int) -> list[int]:
+        top = max(lastpos, 1)
+        key = (height, prev == 0, asc + 1 - top, *(
+            frozenset(tuple(min(v, 1) + (v == top) for v in s) for s in level)
+            for m in matchers for level in m.levels[1:]
+        ))
+        counts = memo.get(key)
+        if counts is not None:
+            return counts
+        counts = [1] + [0] * height
+        if height:
+            for letter in _candidates(True, asc, lastpos):
+                if any(m.completes(letter) for m in matchers):
+                    continue
+                tokens = [m.push(letter) for m in matchers]
+                below = rec(height - 1, letter,
+                            asc + 1 if letter > prev else asc, letter or lastpos)
+                for m, tok in zip(matchers, tokens):
+                    m.pop(tok)
+                for depth, c in enumerate(below, 1):
+                    counts[depth] += c
+        memo[key] = counts
+        return counts
+
+    return rec(n, -1, -1, 0)
+
+
 def avoiders(
     n: int,
     patterns: PatternSet | Iterable[Word | str] | str,
@@ -368,11 +407,14 @@ def count_avoiders(
     *,
     max_length: int = MAX_LENGTH,
 ) -> CountVector:
-    """Count avoiders of every length up to the horizon in one pruned
-    depth-first sweep (every avoider is a node of the search tree).
+    """Count avoiders of every length up to the horizon: a search that
+    memoizes equivalent subtrees when 021 is in the set (_count_021), else
+    one pruned depth-first sweep in which every avoider is a node.
     """
     _check_length(horizon, max_length)
     pats = _coerce_patterns(patterns)
+    if PATTERN_021 in pats:
+        return CountVector(pats, horizon, tuple(_count_021(horizon, pats)))
     counts = [0] * (horizon + 1)
 
     def on_node(depth, word):

@@ -2,24 +2,21 @@
 
 Patterns are grouped by their avoider count vectors up to a finite
 horizon, so the report always says "equivalent up to N", never "proven
-equivalent".  All count vectors are computed in a single enumeration of
-the 021-avoiders: for each member every length-m subsequence is
-normalized through a lookup table and tallied, which prices the whole
-universe at one sweep instead of one search per pattern.
+equivalent".  Each pattern's count vector comes from count_avoiders,
+whose memoized search makes one count per pattern cheap.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .core import MAX_LENGTH, _check_length
+from .core import MAX_LENGTH
 from .patterns import (
     Pattern,
     PatternSet,
-    _walk,
     all_patterns,
     catalan,
+    count_avoiders,
     normalize_pattern,
 )
 
@@ -94,62 +91,19 @@ def pattern_avoidance_table(
     pattern_length: int, horizon: int, *, max_length: int = MAX_LENGTH
 ) -> dict[Pattern, tuple[int, ...]]:
     """Count vector of {021, tau}-avoiders for every normalized pattern
-    tau of the given length, all from one enumeration sweep.
+    tau of the given length, one count per pattern.
     """
-    import numpy as np
-
-    _check_length(horizon, max_length)
-    pats = all_patterns(pattern_length)
-    index = {p.letters: i for i, p in enumerate(pats)}
-    npats = len(pats)
-    m = pattern_length
-    base = horizon + 1
-    if base**m > 50_000_000:
-        raise ValueError("pattern length too large for the table sweep")
-
-    lut = np.empty(base**m, dtype=np.int32)
-    for tup in itertools.product(range(base), repeat=m):
-        enc = 0
-        for v in tup:
-            enc = enc * base + v
-        lut[enc] = index[normalize_pattern(tup).letters]
-
-    # Collect every 021-avoider of each length n <= horizon.
-    rows: dict[int, np.ndarray] = {
-        n: np.empty((catalan(n), n), dtype=np.int8) for n in range(1, horizon + 1)
-    }
-    fill = [0] * (horizon + 1)
-
-    def on_node(depth, word):
-        if depth:
-            rows[depth][fill[depth]] = word[:depth]
-            fill[depth] += 1
-
-    _walk(horizon, PatternSet.of("021"), on_node)
-    for n in range(1, horizon + 1):
-        if fill[n] != catalan(n):
-            raise ArithmeticError(f"{fill[n]} 021-avoiders of length {n}, not {catalan(n)}")
-
-    powers = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    containing = np.zeros((horizon + 1, npats), dtype=np.int64)
-    for n in range(m, horizon + 1):
-        combos = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
-        x = rows[n]
-        chunk = max(1, 8_000_000 // (combos.shape[0] * m))
-        for lo in range(0, x.shape[0], chunk):
-            part = x[lo : lo + chunk].astype(np.int64)
-            vals = part[:, combos]  # (rows, combos, m)
-            ids = lut[vals @ powers]  # (rows, combos)
-            hit = np.zeros((part.shape[0], npats), dtype=bool)
-            hit[np.arange(part.shape[0])[:, None], ids] = True
-            containing[n] += hit.sum(axis=0)
-
-    table: dict[Pattern, tuple[int, ...]] = {}
-    for i, p in enumerate(pats):
-        table[p] = tuple(
-            catalan(n) - int(containing[n, i]) for n in range(horizon + 1)
+    if (horizon + 1) ** pattern_length > 50_000_000:
+        raise ValueError(
+            f"pattern length {pattern_length} is too large to classify at "
+            f"horizon {horizon}: (horizon + 1) ** length exceeds 50,000,000"
         )
-    return table
+    return {
+        p: count_avoiders(
+            PatternSet.of("021", p), horizon, max_length=max_length
+        ).counts
+        for p in all_patterns(pattern_length)
+    }
 
 
 def wilf_classify(

@@ -1,6 +1,8 @@
-"""Shared test oracles, deliberately independent of the library's own
-machinery: quadratic revalidation, brute-force subsequence matching, and
-filter-after-generate enumeration.
+"""Shared test oracles.  Quadratic revalidation, brute-force subsequence
+matching and filter-after-generate enumeration are deliberately
+independent of the library's own machinery; dfs_counts is the library's
+plain pruned walk, without the memo that count_avoiders uses for
+021-sets.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ def brute_force_avoiders(n, pattern_words):
         if not any(naive_contains(w, p) for p in pats):
             out.append(w)
     return out
+
+
+def dfs_counts(patterns, n):
+    """Avoider counts b_0..b_n from the pruned depth-first walk, one
+    increment per node."""
+    from ascentseq.patterns import _coerce_patterns, _walk
+
+    counts = [0] * (n + 1)
+
+    def on_node(depth, word):
+        counts[depth] += 1
+
+    _walk(n, _coerce_patterns(patterns), on_node)
+    return tuple(counts)
 
 
 FISHBURN = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240, 201608]

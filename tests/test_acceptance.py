@@ -28,6 +28,7 @@ from ascentseq.series import (
     h_r_series,
 )
 from ascentseq.wilf import wilf_classify
+from conftest import dfs_counts
 
 
 def _report(criterion, description, problems):
@@ -40,7 +41,7 @@ def test_criterion_1_master_oracle():
     problems = []
     start = time.time()
     for name in RESTRICTIVE_PATTERNS:
-        brute = count_avoiders(f"021,{name}", 11).counts
+        brute = dfs_counts(f"021,{name}", 11)
         series = gf_catalog(name, 11).int_coeffs()
         if brute != series:
             problems.append(f"{name}: brute {brute} != series {series}")
@@ -62,7 +63,7 @@ def test_criterion_1_master_oracle():
 
 
 def test_criterion_2_catalan_baseline():
-    counts = count_avoiders("021", 14).counts
+    counts = dfs_counts("021", 14)
     problems = [
         f"n={n}: {counts[n]} != {catalan(n)}"
         for n in range(15)
@@ -237,3 +238,17 @@ def test_criterion_9_series_algebra():
             problems.append(f"case {case}: {checks}")
     _report(9, "ring axioms, div/mul and sqrt roundtrips exact at order 32",
             problems)
+
+
+def test_criterion_10_memoized_count_reaches_24():
+    problems = []
+    for name in ("021", *RESTRICTIVE_PATTERNS):
+        counts = count_avoiders(f"021,{name}", 24).counts
+        series = gf_catalog(name, 24).int_coeffs()
+        if counts != series:
+            problems.append(f"{name}: count {counts} != series {series}")
+    _report(
+        10,
+        "memoized counts equal the catalog for 021 and all 33 patterns, n<=24",
+        problems,
+    )

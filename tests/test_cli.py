@@ -144,6 +144,12 @@ class TestWilf:
         assert code == 0
         assert out.startswith("| class |")
 
+    def test_oversized_universe_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "wilf", "--length", "7", "--horizon", "12")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: pattern length 7 is too large")
+
 
 class TestDistribution:
     def test_pjum_tsv(self, capsys):

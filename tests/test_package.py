@@ -1,10 +1,8 @@
 """Properties of the package as shipped: invariant checks that survive
-`python -O`, and a CLI import path that stays free of numpy.
+`python -O`, and no runtime dependency outside the standard library.
 """
 
 import ast
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -26,11 +24,20 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_cli_import_does_not_load_numpy():
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import ascentseq.cli, sys; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert result.stdout == "False\n"
+def test_library_imports_only_the_standard_library():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"ascentseq"}
+            ]
+    assert found == []

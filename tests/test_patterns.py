@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ascentseq.core import ascent_sequences
 from ascentseq.patterns import (
@@ -15,7 +15,13 @@ from ascentseq.patterns import (
     normalize_pattern,
     occurrence_count,
 )
-from conftest import CATALAN, brute_force_avoiders, naive_contains, naive_occurrences
+from conftest import (
+    CATALAN,
+    brute_force_avoiders,
+    dfs_counts,
+    naive_contains,
+    naive_occurrences,
+)
 
 words = st.lists(st.integers(0, 5), max_size=11)
 pattern_words = st.lists(st.integers(0, 3), min_size=1, max_size=4)
@@ -169,6 +175,26 @@ class TestCountVector:
         names = patset.split(",")
         for n in range(0, 8):
             assert counts[n] == len(brute_force_avoiders(n, names))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=5),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 8),
+    )
+    def test_memoized_count_matches_search_and_filter(self, raw, n):
+        pats = PatternSet.of("021", *raw)
+        # Searched deeper than the filter can afford: a memo key that
+        # merges too much miscounts on few of the sets drawn at n <= 8.
+        counts = count_avoiders(pats, 10).counts
+        assert counts == dfs_counts(pats, 10)
+        names = [p.letters for p in pats]
+        assert counts[: n + 1] == tuple(
+            len(brute_force_avoiders(k, names)) for k in range(n + 1)
+        )
 
     def test_serialization(self):
         cv = count_avoiders("021,0010", 4)
