@@ -4,7 +4,9 @@ exhaustive verification harness.
 
 Every map preserves length.  Inverses are not implemented: bijectivity is
 certified by injectivity plus a cardinality match against the codomain
-class, which doubles as a desk-scale re-proof of each equivalence.
+class, which doubles as a desk-scale re-proof of each equivalence.  One
+loop, _certify, does this for all nine maps: verify_bijection feeds it
+the eight class maps, verify_tuple_bijection the staircase-tuple map.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Callable, Iterator, Sequence
 from .core import (
     MAX_LENGTH,
     Word,
-    _check_length,
     bounded_jump_words,
     canonical_sequence,
     format_sequence,
@@ -451,56 +452,41 @@ class BijectionReport:
         }
 
 
-def verify_bijection(name: str, n: int, *, max_length: int = MAX_LENGTH) -> BijectionReport:
-    """Apply a map to the entire domain class at length n and certify
-    injectivity, codomain membership and the cardinality match.
+def _certify(map_id, n, domain, func, problem_of, codomain_size, show) -> BijectionReport:
+    """Apply func to every domain element and certify the images.
+
+    problem_of(x, image) names why an image lies outside the codomain, or
+    returns None; show(x) renders an input for its failure record.  An
+    image outside the codomain is not counted in image_size; a collision
+    is.
     """
-    _check_length(n, max_length)
-    bij = BIJECTIONS[name]
-    codomain_size = count_avoiders(bij.codomain, n, max_length=max_length).counts[n]
     images: set[tuple[int, ...]] = set()
     failures: list[dict] = []
     domain_size = 0
     injective = True
     image_in_codomain = True
-    for w in avoiders(n, bij.domain):
+    for x in domain:
         domain_size += 1
         try:
-            img = bij.func(w)
+            img = func(x)
         except MapCaseError as exc:
-            failures.append(
-                {"input": canonical_sequence(w), "problem": str(exc)}
-            )
+            failures.append({"input": show(x), "problem": str(exc)})
             image_in_codomain = False
             continue
-        problem = None
-        if len(img) != n:
-            problem = "image has wrong length"
-        elif not is_ascent_sequence(img):
-            problem = "image is not an ascent sequence"
-        else:
-            hit = next((p for p in bij.codomain if contains(img, p)), None)
-            if hit is not None:
-                problem = f"image contains {hit}"
+        problem = problem_of(x, img)
         if problem is not None:
             image_in_codomain = False
-            failures.append(
-                {
-                    "input": canonical_sequence(w),
-                    "image": canonical_sequence(img),
-                    "problem": problem,
-                }
-            )
-            continue
-        if img in images:
+        elif img in images:
             injective = False
-            failures.append(
-                {"input": canonical_sequence(w), "image": canonical_sequence(img),
-                 "problem": "image collides with an earlier one"}
-            )
-        images.add(img)
+            problem = "image collides with an earlier one"
+        else:
+            images.add(img)
+            continue
+        failures.append(
+            {"input": show(x), "image": canonical_sequence(img), "problem": problem}
+        )
     return BijectionReport(
-        map_id=name,
+        map_id=map_id,
         n=n,
         domain_size=domain_size,
         image_size=len(images),
@@ -508,6 +494,27 @@ def verify_bijection(name: str, n: int, *, max_length: int = MAX_LENGTH) -> Bije
         injective=injective,
         image_in_codomain=image_in_codomain,
         failures=failures,
+    )
+
+
+def verify_bijection(name: str, n: int, *, max_length: int = MAX_LENGTH) -> BijectionReport:
+    """Apply a map to the entire domain class at length n and certify
+    injectivity, codomain membership and the cardinality match.
+    """
+    bij = BIJECTIONS[name]
+    codomain_size = count_avoiders(bij.codomain, n, max_length=max_length).counts[n]
+
+    def problem_of(word, img):
+        if len(img) != n:
+            return "image has wrong length"
+        if not is_ascent_sequence(img):
+            return "image is not an ascent sequence"
+        hit = next((p for p in bij.codomain if contains(img, p)), None)
+        return None if hit is None else f"image contains {hit}"
+
+    domain = avoiders(n, bij.domain, max_length=max_length)
+    return _certify(
+        name, n, domain, bij.func, problem_of, codomain_size, canonical_sequence
     )
 
 
@@ -589,44 +596,16 @@ def verify_tuple_bijection(r: int, n: int) -> BijectionReport:
     and that the image's jump count equals the largest nonempty index.
     """
     codomain = set(bounded_jump_words(n, r))
-    images: set[tuple[int, ...]] = set()
-    failures: list[dict] = []
-    domain_size = 0
-    injective = True
-    image_in_codomain = True
-    for t in staircase_tuples(n, r):
-        domain_size += 1
-        img = tuple_to_sequence(t)
-        expected_jumps = max(
-            (i for i in range(1, r + 1) if t.words[i]), default=0
-        )
-        problem = None
+
+    def problem_of(t, img):
         if img not in codomain:
-            problem = "image outside the jump-bounded set"
-        elif jump_count(img) != expected_jumps:
-            problem = "jump count differs from the largest nonempty index"
-        if problem is not None:
-            image_in_codomain = False
-            failures.append(
-                {"input": [list(w) for w in t.words],
-                 "image": canonical_sequence(img), "problem": problem}
-            )
-            continue
-        if img in images:
-            injective = False
-            failures.append(
-                {"input": [list(w) for w in t.words],
-                 "image": canonical_sequence(img),
-                 "problem": "image collides with an earlier one"}
-            )
-        images.add(img)
-    return BijectionReport(
-        map_id=f"tuple-jumps(r={r})",
-        n=n,
-        domain_size=domain_size,
-        image_size=len(images),
-        codomain_size=len(codomain),
-        injective=injective,
-        image_in_codomain=image_in_codomain,
-        failures=failures,
+            return "image outside the jump-bounded set"
+        expected_jumps = max((i for i in range(1, r + 1) if t.words[i]), default=0)
+        if jump_count(img) != expected_jumps:
+            return "jump count differs from the largest nonempty index"
+        return None
+
+    return _certify(
+        f"tuple-jumps(r={r})", n, staircase_tuples(n, r), tuple_to_sequence,
+        problem_of, len(codomain), lambda t: [list(w) for w in t.words],
     )

@@ -1,16 +1,23 @@
+import json
+
 import pytest
 
+from ascentseq import bijections
 from ascentseq.bijections import (
     BIJECTIONS,
+    Bijection,
+    MapCaseError,
     StaircaseTuple,
     apply_map,
+    map_0010_to_0100,
+    map_1200_to_1220,
     staircase_tuples,
     tuple_to_sequence,
     verify_bijection,
     verify_tuple_bijection,
 )
 from ascentseq.core import jump_count
-from ascentseq.patterns import avoiders
+from ascentseq.patterns import PatternSet, avoiders
 
 
 def s(text):
@@ -77,6 +84,23 @@ class TestVerifyBijection:
         assert data["success"] is True
         assert data["failures"] == []
 
+    def test_max_length_reaches_the_domain_walk(self, monkeypatch):
+        seen = []
+
+        def stub(n, patterns, **kwargs):
+            seen.append(kwargs)
+            return iter(())
+
+        monkeypatch.setattr(bijections, "avoiders", stub)
+        report = verify_bijection("1200-to-1220", 25, max_length=25)
+        assert seen == [{"max_length": 25}]
+        assert report.domain_size == 0
+        assert report.codomain_size == 48732055216
+
+    def test_length_cap(self):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            verify_bijection("1200-to-1220", 25)
+
     def test_lookup_inverse_composes_to_identity(self):
         # bijectivity certified by injectivity + cardinality lets the
         # exhaustive lookup serve as the inverse
@@ -133,3 +157,132 @@ class TestStaircaseTuples:
         for n in range(1, 9):
             report = verify_tuple_bijection(r, n)
             assert report.success, (r, n, report.failures[:3])
+
+
+# Deliberately broken maps pin every failure branch of the harness.  Each
+# breaks exactly one input, the staircase 0,1,...,n-1, and otherwise agrees
+# with a real map.
+
+
+def _staircase(w):
+    return tuple(w) == tuple(range(len(w)))
+
+
+def _collide(w):
+    return (0,) * len(w) if _staircase(w) else map_1200_to_1220(w)
+
+
+def _leave_codomain(w):
+    return (0, 1) + (0,) * (len(w) - 2) if _staircase(w) else map_0010_to_0100(w)
+
+
+def _wrong_length(w):
+    return tuple(w) + (0,) if _staircase(w) else map_1200_to_1220(w)
+
+
+def _not_ascent(w):
+    return (0,) + (2,) * (len(w) - 1) if _staircase(w) else map_1200_to_1220(w)
+
+
+def _no_case(w):
+    if _staircase(w):
+        raise MapCaseError("no-case", w, "planted gap")
+    return map_1200_to_1220(w)
+
+
+BROKEN = {
+    "collide": ("1200", "1220", _collide),
+    "leave-codomain": ("0010", "0100", _leave_codomain),
+    "wrong-length": ("1200", "1220", _wrong_length),
+    "not-ascent": ("1200", "1220", _not_ascent),
+    "no-case": ("1200", "1220", _no_case),
+}
+
+
+def _report(map_id, n, sizes, injective, in_codomain, failures):
+    domain_size, image_size, codomain_size = sizes
+    return {
+        "map": map_id,
+        "n": n,
+        "domain_size": domain_size,
+        "image_size": image_size,
+        "codomain_size": codomain_size,
+        "injective": injective,
+        "image_in_codomain": in_codomain,
+        "success": False,
+        "failures": failures,
+    }
+
+
+def _failure(word, image, problem):
+    return {"input": word, "image": image, "problem": problem}
+
+
+BROKEN_REPORTS = [
+    _report("collide", 4, (14, 13, 14), False, True, [
+        _failure("0,1,2,3", "0,0,0,0", "image collides with an earlier one")]),
+    _report("collide", 5, (41, 40, 41), False, True, [
+        _failure("0,1,2,3,4", "0,0,0,0,0", "image collides with an earlier one")]),
+    _report("leave-codomain", 4, (13, 12, 13), True, False, [
+        _failure("0,1,2,3", "0,1,0,0", "image contains 0100")]),
+    _report("leave-codomain", 5, (34, 33, 34), True, False, [
+        _failure("0,1,2,3,4", "0,1,0,0,0", "image contains 0100")]),
+    _report("wrong-length", 4, (14, 13, 14), True, False, [
+        _failure("0,1,2,3", "0,1,2,3,0", "image has wrong length")]),
+    _report("wrong-length", 5, (41, 40, 41), True, False, [
+        _failure("0,1,2,3,4", "0,1,2,3,4,0", "image has wrong length")]),
+    _report("not-ascent", 4, (14, 13, 14), True, False, [
+        _failure("0,1,2,3", "0,2,2,2", "image is not an ascent sequence")]),
+    _report("not-ascent", 5, (41, 40, 41), True, False, [
+        _failure("0,1,2,3,4", "0,2,2,2,2", "image is not an ascent sequence")]),
+    _report("no-case", 4, (14, 13, 14), True, False, [
+        {"input": "0,1,2,3",
+         "problem": "no-case: no case applies to 0123 (planted gap)"}]),
+    _report("no-case", 5, (41, 40, 41), True, False, [
+        {"input": "0,1,2,3,4",
+         "problem": "no-case: no case applies to 01234 (planted gap)"}]),
+]
+
+
+class TestHarnessFailures:
+    @pytest.mark.parametrize(
+        "expected", BROKEN_REPORTS, ids=[f"{r['map']}-{r['n']}" for r in BROKEN_REPORTS]
+    )
+    def test_broken_class_map(self, monkeypatch, expected):
+        dom, cod, func = BROKEN[expected["map"]]
+        monkeypatch.setitem(
+            BIJECTIONS,
+            expected["map"],
+            Bijection(expected["map"], PatternSet.of("021", dom),
+                      PatternSet.of("021", cod), func),
+        )
+        report = verify_bijection(expected["map"], expected["n"])
+        # compare serialized forms so the key order is pinned too
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("n,sizes", [(4, (20, 17, 20)), (5, (48, 45, 48))])
+    def test_broken_tuple_map(self, monkeypatch, n, sizes):
+        real = tuple_to_sequence
+        zeros = (0,) * (n - 2)
+
+        def broken(t):
+            img = real(t)
+            if img == tuple(range(n)):
+                return (0,) * n  # collides with the all-zero image
+            if img == zeros + (0, 1):
+                return zeros + (0, 2)  # one jump where the tuple says none
+            if img == zeros + (1, 1):
+                return zeros + (1, 0)  # not nondecreasing
+            return img
+
+        monkeypatch.setattr(bijections, "tuple_to_sequence", broken)
+        expected = _report("tuple-jumps(r=1)", n, sizes, False, False, [
+            _failure([list(zeros) + [0, 1], []], ",".join(map(str, zeros + (0, 2))),
+                     "jump count differs from the largest nonempty index"),
+            _failure([list(zeros) + [1, 1], []], ",".join(map(str, zeros + (1, 0))),
+                     "image outside the jump-bounded set"),
+            _failure([list(range(n)), []], ",".join("0" * n),
+                     "image collides with an earlier one"),
+        ])
+        report = verify_tuple_bijection(1, n)
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected)

@@ -1,8 +1,11 @@
 import json
 
+import jsonschema
 import pytest
 
 from ascentseq import cli
+from ascentseq.bijections import BIJECTIONS, Bijection
+from ascentseq.patterns import PatternSet
 
 
 def run(capsys, *argv):
@@ -125,6 +128,35 @@ class TestBijection:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "bijection", "--map", "0010-to-1234", "--n", "5")
         assert exc.value.code == 2
+
+    def broken_run(self, capsys, monkeypatch, dom, cod, func):
+        bij = Bijection("broken", PatternSet.of(*dom), PatternSet.of(*cod), func)
+        monkeypatch.setitem(BIJECTIONS, "broken", bij)
+        code, out, err = run(capsys, "bijection", "--map", "broken", "--n", "5")
+        data = json.loads(out)
+        jsonschema.validate(data, cli.load_schema("bijection"))
+        return code, data, err.splitlines()
+
+    def test_failure_exits_one(self, capsys, monkeypatch):
+        # every image is the zero word: 40 collisions, sizes equal
+        code, data, err = self.broken_run(
+            capsys, monkeypatch, ("021", "1200"), ("021", "1220"),
+            lambda w: (0,) * len(w),
+        )
+        assert code == 1
+        assert data["injective"] is False and len(data["failures"]) == 40
+        assert len(err) == 3
+        assert all(line.startswith("counterexample: ") for line in err)
+
+    def test_cardinality_mismatch_exits_one(self, capsys, monkeypatch):
+        # identity from all 42 021-avoiders onto the 36 that also avoid 0000
+        code, data, err = self.broken_run(
+            capsys, monkeypatch, ("021",), ("021", "0000"), tuple,
+        )
+        assert code == 1
+        assert len(data["failures"]) == 6
+        assert all(line.startswith("counterexample: ") for line in err[:3])
+        assert err[3:] == ["cardinality mismatch: domain 42 vs codomain 36"]
 
 
 class TestWilf:
