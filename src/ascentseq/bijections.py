@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .core import (
-    MAX_LENGTH,
     Word,
     bounded_jump_words,
     canonical_sequence,
@@ -497,12 +496,12 @@ def _certify(map_id, n, domain, func, problem_of, codomain_size, show) -> Biject
     )
 
 
-def verify_bijection(name: str, n: int, *, max_length: int = MAX_LENGTH) -> BijectionReport:
+def verify_bijection(name: str, n: int) -> BijectionReport:
     """Apply a map to the entire domain class at length n and certify
     injectivity, codomain membership and the cardinality match.
     """
     bij = BIJECTIONS[name]
-    codomain_size = count_avoiders(bij.codomain, n, max_length=max_length).counts[n]
+    codomain_size = count_avoiders(bij.codomain, n).counts[n]
 
     def problem_of(word, img):
         if len(img) != n:
@@ -512,7 +511,7 @@ def verify_bijection(name: str, n: int, *, max_length: int = MAX_LENGTH) -> Bije
         hit = next((p for p in bij.codomain if contains(img, p)), None)
         return None if hit is None else f"image contains {hit}"
 
-    domain = avoiders(n, bij.domain, max_length=max_length)
+    domain = avoiders(n, bij.domain)
     return _certify(
         name, n, domain, bij.func, problem_of, codomain_size, canonical_sequence
     )
@@ -536,10 +535,6 @@ class StaircaseTuple:
     @property
     def r(self) -> int:
         return len(self.words) - 1
-
-    @property
-    def total_length(self) -> int:
-        return sum(len(w) for w in self.words)
 
 
 def tuple_to_sequence(t: StaircaseTuple) -> tuple[int, ...]:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-#: Hard cap on generated lengths.  Letter values are bounded by the length,
-#: and Catalan-scale enumeration beyond n ~ 15 is infeasible regardless.
+#: The one length cap, enforced by _check_length; the CLI checks catalog
+#: orders against it too.
 MAX_LENGTH = 24
 
 Word = Sequence[int]
@@ -150,21 +150,19 @@ def canonical_sequence(word: Word) -> str:
     return ",".join(str(a) for a in word)
 
 
-def _check_length(n: int, max_length: int) -> None:
+def _check_length(n: int) -> None:
     if n < 0:
         raise ValueError("length must be non-negative")
-    if n > max_length:
-        raise ValueError(f"length {n} exceeds cap {max_length}")
+    if n > MAX_LENGTH:
+        raise ValueError(f"length {n} exceeds cap {MAX_LENGTH}")
 
 
-def ascent_sequences(
-    n: int, *, max_length: int = MAX_LENGTH
-) -> Iterator[tuple[int, ...]]:
+def ascent_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every ascent sequence of length n, in lexicographic order.
 
     Lazy: nothing is materialized, so counting A_14 needs no storage.
     """
-    _check_length(n, max_length)
+    _check_length(n)
     if n == 0:
         yield ()
         return
@@ -182,13 +180,11 @@ def ascent_sequences(
     yield from extend(1, 0)
 
 
-def bounded_jump_words(
-    n: int, max_jumps: int, *, max_length: int = MAX_LENGTH
-) -> Iterator[tuple[int, ...]]:
+def bounded_jump_words(n: int, max_jumps: int) -> Iterator[tuple[int, ...]]:
     """Yield the nondecreasing length-n words starting at 0 with at most
     max_jumps missing values, in lexicographic order.
     """
-    _check_length(n, max_length)
+    _check_length(n)
     if max_jumps < 0:
         raise ValueError("max_jumps must be non-negative")
     if n == 0:

@@ -12,14 +12,14 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import MAX_LENGTH, Word, _check_length, parse_sequence
+from .core import Word, _check_length, format_sequence, parse_sequence
 
 PATTERN_021 = (0, 2, 1)
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """A normalized pattern: letters cover {0,...,alphabet_top} exactly."""
+    """A normalized pattern: letters cover {0,...,l} exactly for some l."""
 
     letters: tuple[int, ...]
 
@@ -33,10 +33,6 @@ class Pattern:
                 f"pattern letters must cover 0..{top}: {list(self.letters)!r}"
             )
 
-    @property
-    def alphabet_top(self) -> int:
-        return max(self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -44,9 +40,7 @@ class Pattern:
         return iter(self.letters)
 
     def __str__(self) -> str:
-        if self.alphabet_top > 9:
-            return ",".join(str(a) for a in self.letters)
-        return "".join(str(a) for a in self.letters)
+        return format_sequence(self.letters)
 
 
 def normalize_pattern(word: Word | str) -> Pattern:
@@ -355,16 +349,13 @@ def _count_021(n: int, patterns: PatternSet) -> list[int]:
 
 
 def avoiders(
-    n: int,
-    patterns: PatternSet | Iterable[Word | str] | str,
-    *,
-    max_length: int = MAX_LENGTH,
+    n: int, patterns: PatternSet | Iterable[Word | str] | str
 ) -> Iterator[tuple[int, ...]]:
     """Yield the length-n ascent sequences avoiding every given pattern,
     in lexicographic order.  The whole class is collected before the
     first one is yielded.
     """
-    _check_length(n, max_length)
+    _check_length(n)
     pats = _coerce_patterns(patterns)
     found: list[tuple[int, ...]] = []
 
@@ -402,16 +393,13 @@ class CountVector:
 
 
 def count_avoiders(
-    patterns: PatternSet | Iterable[Word | str] | str,
-    horizon: int,
-    *,
-    max_length: int = MAX_LENGTH,
+    patterns: PatternSet | Iterable[Word | str] | str, horizon: int
 ) -> CountVector:
     """Count avoiders of every length up to the horizon: a search that
     memoizes equivalent subtrees when 021 is in the set (_count_021), else
     one pruned depth-first sweep in which every avoider is a node.
     """
-    _check_length(horizon, max_length)
+    _check_length(horizon)
     pats = _coerce_patterns(patterns)
     if PATTERN_021 in pats:
         return CountVector(pats, horizon, tuple(_count_021(horizon, pats)))

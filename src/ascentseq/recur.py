@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import MAX_LENGTH, _check_length
+from .core import _check_length
 from .patterns import PatternSet, _coerce_patterns, _walk, normalize_pattern
 from .series import P, PowerSeries, expand_ratio
 
@@ -56,14 +56,12 @@ def _trim(row: list[int]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def pjum_distribution_brute(
-    patterns, horizon: int, *, max_length: int = MAX_LENGTH
-) -> DistributionTable:
+def pjum_distribution_brute(patterns, horizon: int) -> DistributionTable:
     """Bucket the avoiders of each length 1..horizon by their pjum value,
     by exhaustive enumeration.  The independent oracle for the two
     recurrences below.
     """
-    _check_length(horizon, max_length)
+    _check_length(horizon)
     pats = _coerce_patterns(patterns)
     rows = [[0] * horizon for _ in range(horizon)]
 
@@ -93,7 +91,7 @@ def jump_distribution_brute(horizon: int, max_jumps: int) -> DistributionTable:
     (without a cap there are infinitely many words per length).  Partial
     row sums across j <= r are the h_r coefficients.
     """
-    _check_length(horizon, MAX_LENGTH)
+    _check_length(horizon)
     if max_jumps < 0:
         raise ValueError("max_jumps must be non-negative")
     rows = [[0] * (max_jumps + 1) for _ in range(horizon)]
@@ -108,7 +106,8 @@ def jump_distribution_brute(horizon: int, max_jumps: int) -> DistributionTable:
             word[depth] = letter
             rec(depth + 1, jumps + max(0, letter - prev - 1))
 
-    rec(1, 0)
+    if horizon:
+        rec(1, 0)
     return DistributionTable(
         None, "jum", horizon, tuple(tuple(r) for r in rows)
     )

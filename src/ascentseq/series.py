@@ -29,10 +29,6 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MAX_LENGTH
+from .core import _check_length
 from .patterns import (
     Pattern,
     PatternSet,
@@ -19,6 +19,9 @@ from .patterns import (
     count_avoiders,
     normalize_pattern,
 )
+
+#: Longest pattern length wilf_classify accepts (545,835 patterns).
+MAX_PATTERN_LENGTH = 8
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,6 @@ class WilfClassReport:
     pattern_length: int
     horizon: int
     classes: tuple[WilfClass, ...]
-
-    @property
-    def catalan_patterns(self) -> tuple[Pattern, ...]:
-        for cls in self.classes:
-            if cls.is_catalan:
-                return cls.members
-        return ()
 
     def class_of(self, pattern) -> WilfClass:
         pat = normalize_pattern(pattern)
@@ -88,31 +84,35 @@ class WilfClassReport:
 
 
 def pattern_avoidance_table(
-    pattern_length: int, horizon: int, *, max_length: int = MAX_LENGTH
+    pattern_length: int, horizon: int
 ) -> dict[Pattern, tuple[int, ...]]:
     """Count vector of {021, tau}-avoiders for every normalized pattern
     tau of the given length, one count per pattern.
+
+    Both limits are checked before all_patterns runs, which at length 12
+    would build 28,091,567,953 patterns.
     """
-    if (horizon + 1) ** pattern_length > 50_000_000:
+    _check_length(horizon)
+    if (
+        pattern_length > MAX_PATTERN_LENGTH
+        or (horizon + 1) ** pattern_length > 50_000_000
+    ):
         raise ValueError(
             f"pattern length {pattern_length} is too large to classify at "
-            f"horizon {horizon}: (horizon + 1) ** length exceeds 50,000,000"
+            f"horizon {horizon}: the length must be at most "
+            f"{MAX_PATTERN_LENGTH} and (horizon + 1) ** length at most 50,000,000"
         )
     return {
-        p: count_avoiders(
-            PatternSet.of("021", p), horizon, max_length=max_length
-        ).counts
+        p: count_avoiders(PatternSet.of("021", p), horizon).counts
         for p in all_patterns(pattern_length)
     }
 
 
-def wilf_classify(
-    pattern_length: int, horizon: int, *, max_length: int = MAX_LENGTH
-) -> WilfClassReport:
+def wilf_classify(pattern_length: int, horizon: int) -> WilfClassReport:
     """Group all patterns of one length into classes with identical count
     vectors up to the horizon, ordered by lexicographic representative.
     """
-    table = pattern_avoidance_table(pattern_length, horizon, max_length=max_length)
+    table = pattern_avoidance_table(pattern_length, horizon)
     groups: dict[tuple[int, ...], list[Pattern]] = {}
     for pat, counts in table.items():
         groups.setdefault(counts, []).append(pat)

@@ -84,19 +84,6 @@ class TestVerifyBijection:
         assert data["success"] is True
         assert data["failures"] == []
 
-    def test_max_length_reaches_the_domain_walk(self, monkeypatch):
-        seen = []
-
-        def stub(n, patterns, **kwargs):
-            seen.append(kwargs)
-            return iter(())
-
-        monkeypatch.setattr(bijections, "avoiders", stub)
-        report = verify_bijection("1200-to-1220", 25, max_length=25)
-        assert seen == [{"max_length": 25}]
-        assert report.domain_size == 0
-        assert report.codomain_size == 48732055216
-
     def test_length_cap(self):
         with pytest.raises(ValueError, match="exceeds cap"):
             verify_bijection("1200-to-1220", 25)

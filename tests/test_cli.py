@@ -53,9 +53,10 @@ class TestCount:
         assert "error" in err
 
     def test_horizon_cap(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "count", "--patterns", "021", "--n", "30")
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "count", "--patterns", "021", "--n", "30")
+        assert code == 2
+        assert out == ""
+        assert err == "error: length 30 exceeds cap 24\n"
 
 
 class TestSeries:
@@ -182,6 +183,17 @@ class TestWilf:
         assert out == ""
         assert err.startswith("error: pattern length 7 is too large")
 
+    @pytest.mark.parametrize("length, horizon", [(12, 1), (20, 0), (20, -1)])
+    def test_long_patterns_are_rejected_before_enumeration(
+        self, capsys, length, horizon
+    ):
+        code, out, err = run(
+            capsys, "wilf", "--length", str(length), "--horizon", str(horizon),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestDistribution:
     def test_pjum_tsv(self, capsys):
@@ -206,6 +218,17 @@ class TestDistribution:
         data = json.loads(out)
         assert data["statistic"] == "jum"
         assert data["rows"][0] == {"n": 1, "counts": [1, 0, 0]}
+
+    @pytest.mark.parametrize("statistic", ["pjum", "jum"])
+    def test_horizon_zero_has_no_rows(self, capsys, statistic):
+        code, out, _ = run(
+            capsys, "distribution", "--statistic", statistic, "--patterns",
+            "021", "--horizon", "0",
+        )
+        assert code == 0
+        data = json.loads(out)
+        jsonschema.validate(data, cli.load_schema("distribution"))
+        assert data["rows"] == []
 
 
 class TestCatalog:

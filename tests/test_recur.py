@@ -101,6 +101,11 @@ class TestJumpDistribution:
         with pytest.raises(ValueError):
             jump_distribution_brute(5, -1)
 
+    def test_horizon_zero_has_no_rows(self):
+        table = jump_distribution_brute(0, 2)
+        assert table.rows == ()
+        assert table.to_json_dict()["rows"] == []
+
 
 class TestClosedForms:
     def test_examples(self):

@@ -2,6 +2,7 @@ import pytest
 
 from ascentseq.patterns import all_patterns, catalan
 from ascentseq.series import gf_catalog
+from ascentseq import wilf
 from ascentseq.wilf import pattern_avoidance_table, wilf_classify
 from conftest import dfs_counts
 
@@ -23,6 +24,21 @@ class TestAvoidanceTable:
         # 021 itself: the avoider set is all of B_n
         pat = next(p for p in table if str(p) == "021")
         assert table[pat] == tuple(catalan(n) for n in range(8))
+
+    @pytest.mark.parametrize(
+        "length, horizon, match",
+        [(12, 1, "too large"), (9, 0, "too large"), (20, -1, "non-negative"),
+         (4, 25, "exceeds cap")],
+    )
+    def test_limits_are_checked_before_any_pattern_is_built(
+        self, monkeypatch, length, horizon, match
+    ):
+        def unreachable(length):
+            raise AssertionError("all_patterns ran")
+
+        monkeypatch.setattr(wilf, "all_patterns", unreachable)
+        with pytest.raises(ValueError, match=match):
+            pattern_avoidance_table(length, horizon)
 
 
 class TestClassification:
