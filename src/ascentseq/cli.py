@@ -13,7 +13,7 @@ import json
 import sys
 from importlib import resources
 
-from .core import MAX_LENGTH
+from .core import _check_length
 from .patterns import PatternSet, count_avoiders
 from .recur import jump_distribution_brute, pjum_distribution_brute
 from .series import RESTRICTIVE_PATTERNS, gf_catalog
@@ -43,13 +43,6 @@ def _json(data) -> str:
 
 def _count_tsv(counts) -> str:
     return "".join(f"{n}\t{c}\n" for n, c in enumerate(counts))
-
-
-def _check_horizon(parser: argparse.ArgumentParser, value: int) -> None:
-    # Only the catalog orders need this: every length-taking library call
-    # checks its own length, and gf_catalog has no cap of its own.
-    if value < 0 or value > MAX_LENGTH:
-        parser.error(f"horizon/length must be within 0..{MAX_LENGTH}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,7 +116,7 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_series(args, parser) -> int:
-    _check_horizon(parser, args.order)
+    _check_length(args.order)  # gf_catalog has no cap of its own
     series = gf_catalog(args.pattern, args.order)
     coeffs = series.int_coeffs()
     if args.verify_n is not None:
@@ -206,7 +199,7 @@ def _cmd_distribution(args, parser) -> int:
 
 
 def _cmd_catalog(args, parser) -> int:
-    _check_horizon(parser, args.order)
+    _check_length(args.order)  # gf_catalog has no cap of its own
     names = [args.pattern] if args.pattern else ["021", *RESTRICTIVE_PATTERNS]
     entries = []
     for name in names:

@@ -309,43 +309,78 @@ def _walk(n: int, patterns: PatternSet, on_node) -> None:
     rec(0, -1, 0)
 
 
-def _count_021(n: int, patterns: PatternSet) -> list[int]:
-    """Avoider counts b_0..b_n for a set containing 021: the recursion of
-    _walk, with each subtree's count vector memoized.  The positive
-    letters never decrease, so with L = max(lastpos, 1) every later letter
-    is 0, L or above L, and a value bound in a partial match acts only as
-    its class: 0, inside (0, L), or L.  So nodes with equal keys (height
-    left, last letter 0 or not, slack asc + 1 - L, and every matcher's
-    levels relabelled onto those classes) have isomorphic subtrees.
+def _layers_021(n: int, patterns: PatternSet) -> Iterator[dict[tuple, list[int]]]:
+    """For a set containing 021, yield layers 1..n of a finitely labelled
+    generating tree: layer d maps each label to its slack vector, whose
+    entry s counts the avoiders of length d at that label with slack s.
+
+    The positive letters of a 021-avoider never decrease, so with the top
+    letter L = max(last positive letter, 1) every next letter is 0 (Z), L
+    (E) or one of the slack = asc + 1 - L letters above L (U).  A value
+    bound in a partial match then acts only as its class: 0, MID inside
+    (0, L), or TOP = L.  A label is whether the last letter is 0 plus
+    every matcher's levels relabelled onto 0, 1 = MID and 2 = TOP; the
+    matchers step through letters 0, 2 and 3 and, after U, 2 -> 1 and
+    3 -> 2.  No later letter equals a MID or falls between two of them,
+    so merged MIDs never change a transition.  Z keeps the slack, E adds
+    1 to it after a 0, and U from slack s reaches every slack 1..s.
     """
     matchers = [_Matcher(p) for p in patterns if p.letters != PATTERN_021]
-    memo: dict[tuple, list[int]] = {}
+    slots = [(m, k) for m in matchers for k in range(1, m.m)]
+    moves: dict[tuple, tuple] = {}
 
-    def rec(height: int, prev: int, asc: int, lastpos: int) -> list[int]:
-        top = max(lastpos, 1)
-        key = (height, prev == 0, asc + 1 - top, *(
-            frozenset(tuple(min(v, 1) + (v == top) for v in s) for s in level)
-            for m in matchers for level in m.levels[1:]
+    def step(letter: int) -> tuple | None:
+        if any(m.completes(letter) for m in matchers):
+            return None
+        tokens = [m.push(letter) for m in matchers]
+        shift = letter == 3
+        label = (letter == 0, *(
+            frozenset(tuple(v - (v > 1) for v in s) for s in m.levels[k])
+            if shift else frozenset(m.levels[k])
+            for m, k in slots
         ))
-        counts = memo.get(key)
-        if counts is not None:
-            return counts
-        counts = [1] + [0] * height
-        if height:
-            for letter in _candidates(True, asc, lastpos):
-                if any(m.completes(letter) for m in matchers):
-                    continue
-                tokens = [m.push(letter) for m in matchers]
-                below = rec(height - 1, letter,
-                            asc + 1 if letter > prev else asc, letter or lastpos)
-                for m, tok in zip(matchers, tokens):
-                    m.pop(tok)
-                for depth, c in enumerate(below, 1):
-                    counts[depth] += c
-        memo[key] = counts
-        return counts
+        for m, tok in zip(matchers, tokens):
+            m.pop(tok)
+        return label
 
-    return rec(n, -1, -1, 0)
+    def load(label: tuple) -> None:
+        for (m, k), level in zip(slots, label[1:]):
+            m.levels[k] = set(level)
+        for m in matchers:
+            if m.last_seen:
+                pos = m.steps[-1][1]
+                m.last_values = {}
+                for s in m.levels[-1]:
+                    m.last_values[s[pos]] = m.last_values.get(s[pos], 0) + 1
+
+    def add(layer: dict, label: tuple | None, counts: list[int]) -> None:
+        if label is not None:
+            acc = layer.get(label)
+            layer[label] = counts if acc is None else [
+                a + b for a, b in zip(acc, counts)
+            ]
+
+    # Layer d holds slack vectors of length d: slack is at most d - 1.
+    root = step(0)
+    layer = {} if root is None else {root: [1]}
+    for d in range(1, n + 1):
+        if d > 1:
+            nxt: dict[tuple, list[int]] = {}
+            for label, vec in layer.items():
+                if label not in moves:
+                    load(label)
+                    moves[label] = (step(0), step(2), step(3))
+                z, e, u = moves[label]
+                add(nxt, z, vec + [0])
+                add(nxt, e, [0, *vec] if label[0] else vec + [0])
+                suffix, run = [0] * d, 0
+                for s in range(d - 2, 0, -1):
+                    run += vec[s]
+                    suffix[s] = run
+                if run:
+                    add(nxt, u, suffix)
+            layer = nxt
+        yield layer
 
 
 def avoiders(
@@ -395,14 +430,17 @@ class CountVector:
 def count_avoiders(
     patterns: PatternSet | Iterable[Word | str] | str, horizon: int
 ) -> CountVector:
-    """Count avoiders of every length up to the horizon: a search that
-    memoizes equivalent subtrees when 021 is in the set (_count_021), else
-    one pruned depth-first sweep in which every avoider is a node.
+    """Count avoiders of every length up to the horizon: a layer-by-layer
+    sum over a finitely labelled generating tree when 021 is in the set
+    (_layers_021), else one pruned depth-first sweep in which every
+    avoider is a node.
     """
     _check_length(horizon)
     pats = _coerce_patterns(patterns)
     if PATTERN_021 in pats:
-        return CountVector(pats, horizon, tuple(_count_021(horizon, pats)))
+        layers = _layers_021(horizon, pats)
+        counts = (1, *(sum(map(sum, layer.values())) for layer in layers))
+        return CountVector(pats, horizon, counts)
     counts = [0] * (horizon + 1)
 
     def on_node(depth, word):

@@ -3,7 +3,8 @@
 Patterns are grouped by their avoider count vectors up to a finite
 horizon, so the report always says "equivalent up to N", never "proven
 equivalent".  Each pattern's count vector comes from count_avoiders,
-whose memoized search makes one count per pattern cheap.
+whose layer-by-layer count over a finitely labelled generating tree
+makes one count per pattern cheap.
 """
 
 from __future__ import annotations

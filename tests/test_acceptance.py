@@ -12,7 +12,7 @@ from fractions import Fraction
 from ascentseq.bijections import BIJECTIONS, verify_bijection, verify_tuple_bijection
 from ascentseq.core import bounded_jump_words
 from ascentseq.oeis import ALIGNMENTS, matching_terms
-from ascentseq.patterns import catalan, count_avoiders
+from ascentseq.patterns import PatternSet, _layers_021, catalan, count_avoiders
 from ascentseq.recur import (
     b_table_0111,
     closed_form_count,
@@ -250,5 +250,25 @@ def test_criterion_10_memoized_count_reaches_24():
     _report(
         10,
         "memoized counts equal the catalog for 021 and all 33 patterns, n<=24",
+        problems,
+    )
+
+
+def test_criterion_11_layer_dp_reaches_100():
+    # Past the public cap of 24, so the layer generator is summed directly.
+    problems = []
+    start = time.time()
+    for name in ("021", *RESTRICTIVE_PATTERNS):
+        layers = _layers_021(100, PatternSet.of("021", name))
+        counts = (1, *(sum(map(sum, layer.values())) for layer in layers))
+        series = gf_catalog(name, 100).int_coeffs()
+        if counts != series:
+            bad = next(n for n in range(101) if counts[n] != series[n])
+            problems.append(f"{name}: first mismatch at n={bad}")
+    elapsed = time.time() - start
+    _report(
+        11,
+        f"layer DP equals the catalog for 021 and all 33 patterns, n<=100 "
+        f"({elapsed:.1f}s)",
         problems,
     )

@@ -59,6 +59,22 @@ class TestCount:
         assert err == "error: length 30 exceeds cap 24\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--patterns", "021,1001", "--n", "25"),
+        ("series", "--pattern", "1202", "--order", "25"),
+        ("catalog", "--order", "25"),
+    ],
+    ids=["count --n", "series --order", "catalog --order"],
+)
+def test_one_cap_one_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: length 25 exceeds cap 24\n"
+
+
 class TestSeries:
     def test_verified_expansion(self, capsys):
         code, out, _ = run(

@@ -12,6 +12,7 @@ from ascentseq.patterns import (
     catalan,
     contains,
     count_avoiders,
+    _layers_021,
     normalize_pattern,
     occurrence_count,
 )
@@ -195,6 +196,30 @@ class TestCountVector:
         assert counts[: n + 1] == tuple(
             len(brute_force_avoiders(k, names)) for k in range(n + 1)
         )
+
+    def test_blocked_root_counts_only_the_empty_word(self):
+        assert count_avoiders("021,0", 6).counts == (1, 0, 0, 0, 0, 0, 0)
+
+    def test_distinct_letters_leave_one_avoider(self):
+        assert count_avoiders("021,00", 12).counts == (1,) * 13
+
+    @pytest.mark.parametrize(
+        "patset,b1", [("021", 1), ("021,1001", 1), ("021,0", 0)]
+    )
+    def test_horizons_zero_and_one(self, patset, b1):
+        assert count_avoiders(patset, 0).counts == (1,)
+        assert count_avoiders(patset, 1).counts == (1, b1)
+
+    @pytest.mark.parametrize(
+        "patset,bound",
+        [("021", 2), ("021,1001", 13), ("021,0000", 63), ("021,0010,1200", 59)],
+    )
+    def test_labels_stay_finite(self, patset, bound):
+        # A label key that stops collapsing grows with the length.
+        labels = set()
+        for layer in _layers_021(40, PatternSet.parse(patset)):
+            labels |= layer.keys()
+        assert len(labels) <= bound
 
     def test_serialization(self):
         cv = count_avoiders("021,0010", 4)
