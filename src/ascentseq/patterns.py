@@ -271,12 +271,12 @@ def _candidates(native_021: bool, asc: int, lastpos: int) -> Iterable[int]:
     return (0, *range(lastpos, asc + 2))
 
 
-def _walk(n: int, patterns: PatternSet, on_node) -> None:
-    """DFS over the avoider prefixes of length 0..n in lexicographic
-    preorder, calling on_node(depth, word) at every node; only
-    word[:depth] is meaningful and the list must not be kept.  A branch is
-    cut as soon as extending would complete any pattern (containment is
-    monotone under extension).
+def _walk(n: int, patterns: PatternSet) -> Iterator[tuple[int, list[int]]]:
+    """Yield (depth, word) at every avoider prefix of length 0..n, in
+    lexicographic preorder; only word[:depth] is meaningful, and the list
+    is overwritten as the walk goes on.  A branch is cut as soon as
+    extending would complete any pattern (containment is monotone under
+    extension).
 
     When 021 is among the patterns its avoidance is enforced structurally:
     a 021-avoider is exactly an ascent sequence whose positive letters are
@@ -287,26 +287,28 @@ def _walk(n: int, patterns: PatternSet, on_node) -> None:
     matchers = [_Matcher(p) for p in rest]
     word = [0] * n
 
-    def rec(depth: int, asc: int, lastpos: int) -> None:
-        on_node(depth, word)
-        if depth == n:
-            return
+    def rec(depth: int, asc: int, lastpos: int) -> Iterator[tuple[int, list[int]]]:
         prev = word[depth - 1] if depth else -1
         for letter in _candidates(native_021, asc, lastpos):
             if any(m.completes(letter) for m in matchers):
                 continue
             word[depth] = letter
-            tokens = [m.push(letter) for m in matchers]
-            rec(
-                depth + 1,
-                asc + 1 if letter > prev else asc,
-                letter if letter else lastpos,
-            )
-            for m, tok in zip(matchers, tokens):
-                m.pop(tok)
+            yield depth + 1, word
+            # Nothing below a leaf reads the matchers, so leaves skip push.
+            if depth + 1 < n:
+                tokens = [m.push(letter) for m in matchers]
+                yield from rec(
+                    depth + 1,
+                    asc + 1 if letter > prev else asc,
+                    letter if letter else lastpos,
+                )
+                for m, tok in zip(matchers, tokens):
+                    m.pop(tok)
 
+    yield 0, word
     # The root has prev = asc = -1, so 0 is its only candidate.
-    rec(0, -1, 0)
+    if n:
+        yield from rec(0, -1, 0)
 
 
 def _layers_021(n: int, patterns: PatternSet) -> Iterator[dict[tuple, list[int]]]:
@@ -387,19 +389,12 @@ def avoiders(
     n: int, patterns: PatternSet | Iterable[Word | str] | str
 ) -> Iterator[tuple[int, ...]]:
     """Yield the length-n ascent sequences avoiding every given pattern,
-    in lexicographic order.  The whole class is collected before the
-    first one is yielded.
+    in lexicographic order, one at a time as the walk reaches them.
     """
     _check_length(n)
-    pats = _coerce_patterns(patterns)
-    found: list[tuple[int, ...]] = []
-
-    def on_node(depth, word):
+    for depth, word in _walk(n, _coerce_patterns(patterns)):
         if depth == n:
-            found.append(tuple(word))
-
-    _walk(n, pats, on_node)
-    yield from found
+            yield tuple(word)
 
 
 @dataclass(frozen=True)
@@ -442,11 +437,8 @@ def count_avoiders(
         counts = (1, *(sum(map(sum, layer.values())) for layer in layers))
         return CountVector(pats, horizon, counts)
     counts = [0] * (horizon + 1)
-
-    def on_node(depth, word):
+    for depth, _ in _walk(horizon, pats):
         counts[depth] += 1
-
-    _walk(horizon, pats, on_node)
     return CountVector(pats, horizon, tuple(counts))
 
 

@@ -27,6 +27,8 @@ class DistributionTable:
     rows: tuple[tuple[int, ...], ...]
 
     def row(self, n: int) -> tuple[int, ...]:
+        if not 1 <= n <= self.horizon:
+            raise IndexError(f"row {n} is outside 1..{self.horizon}")
         return self.rows[n - 1]
 
     def row_sums(self) -> tuple[int, ...]:
@@ -64,10 +66,9 @@ def pjum_distribution_brute(patterns, horizon: int) -> DistributionTable:
     _check_length(horizon)
     pats = _coerce_patterns(patterns)
     rows = [[0] * horizon for _ in range(horizon)]
-
-    def on_node(depth, word):
+    for depth, word in _walk(horizon, pats):
         if depth == 0:
-            return
+            continue
         asc = mx = 0
         prev = 0
         for i in range(1, depth):
@@ -78,8 +79,6 @@ def pjum_distribution_brute(patterns, horizon: int) -> DistributionTable:
                     mx = letter
             prev = letter
         rows[depth - 1][asc - mx] += 1
-
-    _walk(horizon, pats, on_node)
     return DistributionTable(
         pats, "pjum", horizon, tuple(_trim(r) for r in rows)
     )

@@ -1,7 +1,7 @@
 """Shared test oracles.  Quadratic revalidation, brute-force subsequence
 matching and filter-after-generate enumeration are deliberately
 independent of the library's own machinery; dfs_counts is the library's
-plain pruned walk, without the memo that count_avoiders uses for
+plain pruned walk, without the layer DP that count_avoiders uses for
 021-sets.
 """
 
@@ -76,11 +76,8 @@ def dfs_counts(patterns, n):
     from ascentseq.patterns import _coerce_patterns, _walk
 
     counts = [0] * (n + 1)
-
-    def on_node(depth, word):
+    for depth, _ in _walk(n, _coerce_patterns(patterns)):
         counts[depth] += 1
-
-    _walk(n, _coerce_patterns(patterns), on_node)
     return tuple(counts)
 
 

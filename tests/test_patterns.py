@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,36 @@ class TestAvoiderEnumeration:
         # all-distinct letters force the staircase 012...k
         for n in range(1, 7):
             assert list(avoiders(n, "00")) == [tuple(range(n))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(
+                lambda w: normalize_pattern(w).letters != (0, 2, 1)
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_walk_without_021_matches_filter(self, raw):
+        pats = PatternSet.of(*raw)
+        counts = count_avoiders(pats, 7).counts
+        names = [p.letters for p in pats]
+        for n in range(8):
+            expected = brute_force_avoiders(n, names)
+            assert list(avoiders(n, pats)) == expected
+            assert counts[n] == len(expected)
+
+    def test_streams_one_word_at_a_time(self):
+        # Collecting the 208,012 words first peaks at about 30 MB.
+        tracemalloc.start()
+        try:
+            for _ in avoiders(12, "021"):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCountVector:

@@ -72,6 +72,12 @@ class TestBruteDistributions:
         t = pjum_distribution_brute("021,1001", 1)
         assert t.row(1) == (1,)
 
+    @pytest.mark.parametrize("n", [0, -1, 6])
+    def test_row_outside_the_horizon_raises(self, n):
+        t = pjum_distribution_brute("021,0111", 5)
+        with pytest.raises(IndexError):
+            t.row(n)
+
     def test_row_sums_equal_counts(self):
         t = pjum_distribution_brute("021,1200", 8)
         assert t.row_sums() == count_avoiders("021,1200", 8).counts[1:]

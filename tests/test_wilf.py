@@ -28,7 +28,7 @@ class TestAvoidanceTable:
     @pytest.mark.parametrize(
         "length, horizon, match",
         [(12, 1, "too large"), (9, 0, "too large"), (20, -1, "non-negative"),
-         (4, 25, "exceeds cap")],
+         (4, 25, "exceeds cap"), (7, 5, "too large"), (8, 3, "too large")],
     )
     def test_limits_are_checked_before_any_pattern_is_built(
         self, monkeypatch, length, horizon, match
@@ -39,6 +39,10 @@ class TestAvoidanceTable:
         monkeypatch.setattr(wilf, "all_patterns", unreachable)
         with pytest.raises(ValueError, match=match):
             pattern_avoidance_table(length, horizon)
+
+    def test_longest_length_is_allowed_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(wilf, "all_patterns", lambda length: [])
+        assert pattern_avoidance_table(6, 24) == {}
 
 
 class TestClassification:
