@@ -11,6 +11,7 @@ from ascentseq import (
     gf_catalog,
     jump_distribution_brute,
     pjum,
+    pjum_distribution,
     pjum_distribution_brute,
 )
 
@@ -23,6 +24,8 @@ for n in range(1, 9):
 
 brute = pjum_distribution_brute("021,0111", 8)
 print("recurrence == exhaustive bucketing:", triangle.rows == brute.rows)
+print("layer DP == exhaustive bucketing:",
+      pjum_distribution("021,0111", 8).rows == brute.rows)
 print("row sums == catalog series:",
       triangle.row_sums() == gf_catalog("0111", 8).int_coeffs()[1:])
 

@@ -50,7 +50,9 @@ from .recur import (
     b_table_0111,
     closed_form_count,
     f_series_1001,
+    jump_distribution,
     jump_distribution_brute,
+    pjum_distribution,
     pjum_distribution_brute,
 )
 from .bijections import (

@@ -25,6 +25,7 @@ from .core import (
     staircase_words,
 )
 from .patterns import PatternSet, avoiders, contains, count_avoiders
+from .recur import jump_distribution
 
 
 class MapCaseError(ValueError):
@@ -499,17 +500,34 @@ def _certify(map_id, n, domain, func, problem_of, codomain_size, show) -> Biject
 def verify_bijection(name: str, n: int) -> BijectionReport:
     """Apply a map to the entire domain class at length n and certify
     injectivity, codomain membership and the cardinality match.
+
+    Membership is a lookup in the walked codomain, whose size must equal
+    the layer count (ArithmeticError otherwise); only a miss is diagnosed
+    pattern by pattern.
     """
     bij = BIJECTIONS[name]
     codomain_size = count_avoiders(bij.codomain, n).counts[n]
+    codomain = set(avoiders(n, bij.codomain))
+    if len(codomain) != codomain_size:
+        raise ArithmeticError(
+            f"the walk found {len(codomain)} codomain words of length {n}, "
+            f"the count says {codomain_size}"
+        )
 
     def problem_of(word, img):
+        if img in codomain:
+            return None
         if len(img) != n:
             return "image has wrong length"
         if not is_ascent_sequence(img):
             return "image is not an ascent sequence"
         hit = next((p for p in bij.codomain if contains(img, p)), None)
-        return None if hit is None else f"image contains {hit}"
+        if hit is None:
+            raise ArithmeticError(
+                f"image {format_sequence(img)} is outside the walked codomain "
+                "yet avoids every codomain pattern"
+            )
+        return f"image contains {hit}"
 
     domain = avoiders(n, bij.domain)
     return _certify(
@@ -589,8 +607,17 @@ def verify_tuple_bijection(r: int, n: int) -> BijectionReport:
     """Check that tuple_to_sequence maps the length-n staircase tuples
     bijectively onto the nondecreasing words from 0 with at most r jumps,
     and that the image's jump count equals the largest nonempty index.
+    The codomain's size must equal the jump DP's (ArithmeticError
+    otherwise).
     """
     codomain = set(bounded_jump_words(n, r))
+    if n >= 1:
+        counted = sum(jump_distribution(n, r).row(n))
+        if len(codomain) != counted:
+            raise ArithmeticError(
+                f"the generator gave {len(codomain)} words of length {n} with "
+                f"at most {r} jumps, the jump DP counts {counted}"
+            )
 
     def problem_of(t, img):
         if img not in codomain:

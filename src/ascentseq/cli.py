@@ -15,7 +15,7 @@ from importlib import resources
 
 from .core import _check_length
 from .patterns import PatternSet, count_avoiders
-from .recur import jump_distribution_brute, pjum_distribution_brute
+from .recur import jump_distribution, pjum_distribution
 from .series import RESTRICTIVE_PATTERNS, gf_catalog
 
 
@@ -188,11 +188,11 @@ def _cmd_distribution(args, parser) -> int:
     if args.statistic == "pjum":
         if not args.patterns:
             parser.error("pjum distribution needs --patterns")
-        table = pjum_distribution_brute(args.patterns, args.horizon)
+        table = pjum_distribution(args.patterns, args.horizon)
     else:
         if args.max_jumps < 0:
             parser.error("--max-jumps must be non-negative")
-        table = jump_distribution_brute(args.horizon, args.max_jumps)
+        table = jump_distribution(args.horizon, args.max_jumps)
     text = _json(table.to_json_dict()) if args.format == "json" else table.to_tsv()
     _emit(text, args.out)
     return 0

@@ -1,6 +1,7 @@
 """Refined counting: the pjum-indexed recurrence triangle for the 0111
-class, the mutually recursive series family for the 1001 class, exhaustive
-statistic distributions, and the closed-form count identities.
+class, the mutually recursive series family for the 1001 class, statistic
+distributions by DP with their exhaustive oracles, and the closed-form
+count identities.
 """
 
 from __future__ import annotations
@@ -9,7 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import _check_length
-from .patterns import PatternSet, _coerce_patterns, _walk, normalize_pattern
+from .patterns import (
+    PATTERN_021,
+    PatternSet,
+    _coerce_patterns,
+    _layers_021,
+    _walk,
+    normalize_pattern,
+)
 from .series import P, PowerSeries, expand_ratio
 
 
@@ -60,8 +68,8 @@ def _trim(row: list[int]) -> tuple[int, ...]:
 
 def pjum_distribution_brute(patterns, horizon: int) -> DistributionTable:
     """Bucket the avoiders of each length 1..horizon by their pjum value,
-    by exhaustive enumeration.  The independent oracle for the two
-    recurrences below.
+    by exhaustive enumeration.  The independent oracle for pjum_distribution
+    and the two recurrences below.
     """
     _check_length(horizon)
     pats = _coerce_patterns(patterns)
@@ -82,6 +90,47 @@ def pjum_distribution_brute(patterns, horizon: int) -> DistributionTable:
     return DistributionTable(
         pats, "pjum", horizon, tuple(_trim(r) for r in rows)
     )
+
+
+def pjum_distribution(patterns, horizon: int) -> DistributionTable:
+    """The pjum distribution of pjum_distribution_brute, read off the
+    layer DP (_layers_021) when 021 is in the set: an avoider at slack s
+    has pjum max(s - 1, 0).  Sets without 021 are bucketed exhaustively.
+    """
+    _check_length(horizon)
+    pats = _coerce_patterns(patterns)
+    if PATTERN_021 not in pats:
+        return pjum_distribution_brute(pats, horizon)
+    rows = []
+    for d, layer in enumerate(_layers_021(horizon, pats), start=1):
+        row = [0] * d
+        for vec in layer.values():
+            for s, c in enumerate(vec):
+                row[max(s - 1, 0)] += c
+        rows.append(_trim(row))
+    return DistributionTable(pats, "pjum", horizon, tuple(rows))
+
+
+def jump_distribution(horizon: int, max_jumps: int) -> DistributionTable:
+    """The table of jump_distribution_brute by a DP over the jump count.
+
+    A next letter equal to the last or one above it adds no jump, and one
+    k + 1 above adds k, so next[j] = 2 cur[j] + sum_{t<j} cur[t].
+    """
+    _check_length(horizon)
+    if max_jumps < 0:
+        raise ValueError("max_jumps must be non-negative")
+    rows = []
+    cur = [1] + [0] * max_jumps
+    for _ in range(horizon):
+        rows.append(tuple(cur))
+        below = 0
+        nxt = []
+        for c in cur:
+            nxt.append(2 * c + below)
+            below += c
+        cur = nxt
+    return DistributionTable(None, "jum", horizon, tuple(rows))
 
 
 def jump_distribution_brute(horizon: int, max_jumps: int) -> DistributionTable:

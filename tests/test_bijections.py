@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,8 @@ from ascentseq.bijections import (
     verify_tuple_bijection,
 )
 from ascentseq.core import jump_count
-from ascentseq.patterns import PatternSet, avoiders
+from ascentseq.patterns import PatternSet, avoiders, count_avoiders
+from ascentseq.recur import jump_distribution
 
 
 def s(text):
@@ -273,3 +275,52 @@ class TestHarnessFailures:
         ])
         report = verify_tuple_bijection(1, n)
         assert json.dumps(report.to_json_dict()) == json.dumps(expected)
+
+
+def count_shifted_by(delta):
+    def count(patterns, horizon):
+        cv = count_avoiders(patterns, horizon)
+        *head, last = cv.counts
+        return dataclasses.replace(cv, counts=(*head, last + delta))
+
+    return count
+
+
+def jumps_one_too_many(horizon, max_jumps):
+    table = jump_distribution(horizon, max_jumps)
+    *head, (first, *rest) = table.rows
+    return dataclasses.replace(table, rows=(*head, (first + 1, *rest)))
+
+
+class TestCodomainCrossChecks:
+    """The walked or generated codomain must match an independent count."""
+
+    def test_walk_disagreeing_with_the_count_raises(self, monkeypatch):
+        monkeypatch.setattr(bijections, "count_avoiders", count_shifted_by(1))
+        with pytest.raises(ArithmeticError, match="the count says 42"):
+            verify_bijection("1100-to-1000", 5)
+
+    def test_generator_disagreeing_with_the_jump_dp_raises(self, monkeypatch):
+        monkeypatch.setattr(bijections, "jump_distribution", jumps_one_too_many)
+        with pytest.raises(ArithmeticError, match="the jump DP counts"):
+            verify_tuple_bijection(2, 6)
+
+    def test_length_zero_skips_the_jump_dp(self, monkeypatch):
+        monkeypatch.setattr(bijections, "jump_distribution", jumps_one_too_many)
+        assert verify_tuple_bijection(2, 0).success
+
+    def test_undiagnosable_miss_raises(self, monkeypatch):
+        # Walk and count agree on a codomain missing one avoider: its
+        # preimage's image is a miss that no diagnosis explains.
+        dropped = (0, 0, 0, 0, 0)
+        codomain = BIJECTIONS["1100-to-1000"].codomain
+        real_avoiders = bijections.avoiders
+
+        def walk_without(n, patterns):
+            walk = real_avoiders(n, patterns)
+            return (w for w in walk if patterns != codomain or w != dropped)
+
+        monkeypatch.setattr(bijections, "avoiders", walk_without)
+        monkeypatch.setattr(bijections, "count_avoiders", count_shifted_by(-1))
+        with pytest.raises(ArithmeticError, match="00000 is outside the walked"):
+            verify_bijection("1100-to-1000", 5)

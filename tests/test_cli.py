@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import jsonschema
 import pytest
 
-from ascentseq import cli
+from ascentseq import bijections, cli
 from ascentseq.bijections import BIJECTIONS, Bijection
-from ascentseq.patterns import PatternSet
+from ascentseq.patterns import PatternSet, count_avoiders
+from ascentseq.recur import jump_distribution
 
 
 def run(capsys, *argv):
@@ -174,6 +176,33 @@ class TestBijection:
         assert len(data["failures"]) == 6
         assert all(line.startswith("counterexample: ") for line in err[:3])
         assert err[3:] == ["cardinality mismatch: domain 42 vs codomain 36"]
+
+
+    def test_walk_count_mismatch_exits_one(self, capsys, monkeypatch):
+        def one_too_many(patterns, horizon):
+            cv = count_avoiders(patterns, horizon)
+            *head, last = cv.counts
+            return dataclasses.replace(cv, counts=(*head, last + 1))
+
+        monkeypatch.setattr(bijections, "count_avoiders", one_too_many)
+        code, out, err = run(capsys, "bijection", "--map", "1100-to-1000", "--n", "6")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: internal check failed: ")
+
+    def test_tuple_jump_dp_mismatch_exits_one(self, capsys, monkeypatch):
+        def one_too_many(horizon, max_jumps):
+            t = jump_distribution(horizon, max_jumps)
+            *head, (first, *rest) = t.rows
+            return dataclasses.replace(t, rows=(*head, (first + 1, *rest)))
+
+        monkeypatch.setattr(bijections, "jump_distribution", one_too_many)
+        code, out, err = run(
+            capsys, "bijection", "--map", "tuple-jumps", "--r", "2", "--n", "6",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: internal check failed: ")
 
 
 class TestWilf:

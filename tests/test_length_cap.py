@@ -15,8 +15,10 @@ from ascentseq import (
     avoiders,
     bounded_jump_words,
     count_avoiders,
+    jump_distribution,
     jump_distribution_brute,
     pattern_avoidance_table,
+    pjum_distribution,
     pjum_distribution_brute,
     verify_bijection,
     verify_tuple_bijection,
@@ -31,7 +33,9 @@ LENGTH_TAKERS = {
     "bounded_jump_words": lambda n: bounded_jump_words(n, 2),
     "avoiders": lambda n: avoiders(n, "021,1001"),
     "count_avoiders": lambda n: count_avoiders("021,1001", n),
+    "pjum_distribution": lambda n: pjum_distribution("021,0111", n),
     "pjum_distribution_brute": lambda n: pjum_distribution_brute("021,0111", n),
+    "jump_distribution": lambda n: jump_distribution(n, 2),
     "jump_distribution_brute": lambda n: jump_distribution_brute(n, 2),
     "verify_bijection": lambda n: verify_bijection("1100-to-1000", n),
     "verify_tuple_bijection": lambda n: verify_tuple_bijection(2, n),

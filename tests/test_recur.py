@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ascentseq.patterns import count_avoiders
+from ascentseq.patterns import PatternSet, count_avoiders
 from ascentseq.recur import (
     b_table_0111,
     closed_form_count,
     f_series_1001,
+    jump_distribution,
     jump_distribution_brute,
+    pjum_distribution,
     pjum_distribution_brute,
 )
 from ascentseq.series import gf_catalog, h_r_series
@@ -95,7 +98,50 @@ class TestBruteDistributions:
         assert t.to_tsv().splitlines()[3] == "4\t12\t1"
 
 
+class TestPjumByLayers:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=5),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 8),
+    )
+    def test_matches_brute_force(self, raw, horizon):
+        pats = PatternSet.of("021", *raw)
+        assert pjum_distribution(pats, horizon) == pjum_distribution_brute(
+            pats, horizon
+        )
+
+    @pytest.mark.parametrize("patterns", ["021,0", "021,00", "021,0111", "0011"])
+    @pytest.mark.parametrize("horizon", [0, 1, 7])
+    def test_pinned_sets(self, patterns, horizon):
+        # 021,0 has no nonempty avoider; 0011 has no 021 and falls through.
+        assert pjum_distribution(patterns, horizon) == pjum_distribution_brute(
+            patterns, horizon
+        )
+
+    def test_0111_triangle_at_the_cap(self):
+        assert b_table_0111(24).rows == pjum_distribution("021,0111", 24).rows
+
+    def test_1001_series_at_the_cap(self):
+        order = 24
+        fs = f_series_1001(5, order)
+        table = pjum_distribution("021,1001", order)
+        for n in range(1, order + 1):
+            row = table.row(n) + (0,) * 6
+            assert [int(f[n]) for f in fs] == list(row[:6])
+
+
 class TestJumpDistribution:
+    @pytest.mark.parametrize("max_jumps", range(6))
+    def test_dp_matches_brute_force(self, max_jumps):
+        for horizon in range(11):
+            assert jump_distribution(horizon, max_jumps) == jump_distribution_brute(
+                horizon, max_jumps
+            )
+
     def test_partial_sums_are_h_r(self):
         table = jump_distribution_brute(10, 4)
         for r in range(5):
@@ -106,6 +152,10 @@ class TestJumpDistribution:
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError):
             jump_distribution_brute(5, -1)
+
+    def test_dp_rejects_negative_cap(self):
+        with pytest.raises(ValueError):
+            jump_distribution(5, -1)
 
     def test_horizon_zero_has_no_rows(self):
         table = jump_distribution_brute(0, 2)
