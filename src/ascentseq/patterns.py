@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import Word, _check_length, format_sequence, parse_sequence
 
@@ -271,44 +271,64 @@ def _candidates(native_021: bool, asc: int, lastpos: int) -> Iterable[int]:
     return (0, *range(lastpos, asc + 2))
 
 
-def _walk(n: int, patterns: PatternSet) -> Iterator[tuple[int, list[int]]]:
-    """Yield (depth, word) at every avoider prefix of length 0..n, in
-    lexicographic preorder; only word[:depth] is meaningful, and the list
-    is overwritten as the walk goes on.  A branch is cut as soon as
+def _walk(
+    n: int, patterns: PatternSet
+) -> Iterator[tuple[int, list[int], Sequence[int]]]:
+    """Yield (depth, word, letters) at every avoider prefix word[:depth]
+    of length 0..n-1, in lexicographic preorder.  letters lists, in
+    increasing order, the next letters that keep the prefix an avoider,
+    so the avoiders of length depth + 1 below this node are counted
+    without being visited.  The word list is overwritten as the walk goes
+    on; only word[:depth] is meaningful.  A branch is cut as soon as
     extending would complete any pattern (containment is monotone under
     extension).
+
+    The walk is one loop over an explicit stack.  A frame holds a node's
+    untried letters, its ascent count and last positive letter, and the
+    matcher undo tokens of the letter that reached it.
 
     When 021 is among the patterns its avoidance is enforced structurally:
     a 021-avoider is exactly an ascent sequence whose positive letters are
     nondecreasing.  That keeps 021 out of the per-letter matcher work.
     """
+    if not n:
+        return
     rest = [p for p in patterns if p.letters != PATTERN_021]
     native_021 = len(rest) < len(patterns)
     matchers = [_Matcher(p) for p in rest]
+    completes = [m.completes for m in matchers]
+
+    def kids(asc: int, lastpos: int) -> Sequence[int]:
+        out = _candidates(native_021, asc, lastpos)
+        for done in completes:
+            out = [c for c in out if not done(c)]
+        return out
+
     word = [0] * n
-
-    def rec(depth: int, asc: int, lastpos: int) -> Iterator[tuple[int, list[int]]]:
-        prev = word[depth - 1] if depth else -1
-        for letter in _candidates(native_021, asc, lastpos):
-            if any(m.completes(letter) for m in matchers):
-                continue
-            word[depth] = letter
-            yield depth + 1, word
-            # Nothing below a leaf reads the matchers, so leaves skip push.
-            if depth + 1 < n:
-                tokens = [m.push(letter) for m in matchers]
-                yield from rec(
-                    depth + 1,
-                    asc + 1 if letter > prev else asc,
-                    letter if letter else lastpos,
-                )
-                for m, tok in zip(matchers, tokens):
-                    m.pop(tok)
-
-    yield 0, word
     # The root has prev = asc = -1, so 0 is its only candidate.
-    if n:
-        yield from rec(0, -1, 0)
+    letters = kids(-1, 0)
+    yield 0, word, letters
+    stack = [(iter(letters), -1, 0, [])] if n > 1 else []
+    while stack:
+        untried, asc, lastpos, tokens = stack[-1]
+        depth = len(stack) - 1
+        prev = word[depth - 1] if depth else -1
+        for letter in untried:
+            word[depth] = letter
+            pushed = [m.push(letter) for m in matchers]
+            down = (asc + 1 if letter > prev else asc, letter or lastpos)
+            letters = kids(*down)
+            yield depth + 1, word, letters
+            if depth + 2 < n and letters:
+                # Descend; this frame resumes at its next letter.
+                stack.append((iter(letters), *down, pushed))
+                break
+            for m, tok in zip(matchers, pushed):
+                m.pop(tok)
+        else:
+            stack.pop()
+            for m, tok in zip(matchers, tokens):
+                m.pop(tok)
 
 
 def _layers_021(n: int, patterns: PatternSet) -> Iterator[dict[tuple, list[int]]]:
@@ -392,9 +412,14 @@ def avoiders(
     in lexicographic order, one at a time as the walk reaches them.
     """
     _check_length(n)
-    for depth, word in _walk(n, _coerce_patterns(patterns)):
-        if depth == n:
-            yield tuple(word)
+    if not n:
+        yield ()
+        return
+    for depth, word, letters in _walk(n, _coerce_patterns(patterns)):
+        if depth == n - 1:
+            for letter in letters:
+                word[depth] = letter
+                yield tuple(word)
 
 
 @dataclass(frozen=True)
@@ -427,8 +452,9 @@ def count_avoiders(
 ) -> CountVector:
     """Count avoiders of every length up to the horizon: a layer-by-layer
     sum over a finitely labelled generating tree when 021 is in the set
-    (_layers_021), else one pruned depth-first sweep in which every
-    avoider is a node.
+    (_layers_021), else one pruned depth-first sweep (_walk) whose nodes
+    are the avoiders shorter than the horizon: each node adds its count
+    of extending letters at the next length.
     """
     _check_length(horizon)
     pats = _coerce_patterns(patterns)
@@ -436,9 +462,9 @@ def count_avoiders(
         layers = _layers_021(horizon, pats)
         counts = (1, *(sum(map(sum, layer.values())) for layer in layers))
         return CountVector(pats, horizon, counts)
-    counts = [0] * (horizon + 1)
-    for depth, _ in _walk(horizon, pats):
-        counts[depth] += 1
+    counts = [1] + [0] * horizon
+    for depth, _, letters in _walk(horizon, pats):
+        counts[depth + 1] += len(letters)
     return CountVector(pats, horizon, tuple(counts))
 
 

@@ -74,9 +74,7 @@ def pjum_distribution_brute(patterns, horizon: int) -> DistributionTable:
     _check_length(horizon)
     pats = _coerce_patterns(patterns)
     rows = [[0] * horizon for _ in range(horizon)]
-    for depth, word in _walk(horizon, pats):
-        if depth == 0:
-            continue
+    for depth, word, letters in _walk(horizon, pats):
         asc = mx = 0
         prev = 0
         for i in range(1, depth):
@@ -86,7 +84,13 @@ def pjum_distribution_brute(patterns, horizon: int) -> DistributionTable:
                 if letter > mx:
                     mx = letter
             prev = letter
-        rows[depth - 1][asc - mx] += 1
+        # Each letter closes an avoider of length depth + 1.
+        row = rows[depth]
+        for letter in letters:
+            if letter > prev:
+                row[asc + 1 - max(mx, letter)] += 1
+            else:
+                row[asc - mx] += 1
     return DistributionTable(
         pats, "pjum", horizon, tuple(_trim(r) for r in rows)
     )

@@ -71,13 +71,14 @@ def brute_force_avoiders(n, pattern_words):
 
 
 def dfs_counts(patterns, n):
-    """Avoider counts b_0..b_n from the pruned depth-first walk, one
-    increment per node."""
+    """Avoider counts b_0..b_n from the pruned depth-first walk: the empty
+    word, plus each node's count of extending letters at the next
+    length."""
     from ascentseq.patterns import _coerce_patterns, _walk
 
-    counts = [0] * (n + 1)
-    for depth, _ in _walk(n, _coerce_patterns(patterns)):
-        counts[depth] += 1
+    counts = [1] + [0] * n
+    for depth, _, letters in _walk(n, _coerce_patterns(patterns)):
+        counts[depth + 1] += len(letters)
     return tuple(counts)
 
 

@@ -8,6 +8,8 @@ from ascentseq.core import ascent_sequences
 from ascentseq.patterns import (
     Pattern,
     PatternSet,
+    _Matcher,
+    _walk,
     all_patterns,
     avoiders,
     catalan,
@@ -163,6 +165,24 @@ class TestAvoiderEnumeration:
             assert list(avoiders(n, pats)) == expected
             assert counts[n] == len(expected)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=5),
+            max_size=2,
+        )
+    )
+    def test_walk_with_021_matches_filter(self, raw):
+        # 021 in the set takes _candidates' native branch, not a matcher.
+        pats = PatternSet.of("021", *raw)
+        counts = count_avoiders(pats, 7).counts
+        assert counts == dfs_counts(pats, 7)
+        names = [p.letters for p in pats]
+        for n in range(8):
+            expected = brute_force_avoiders(n, names)
+            assert list(avoiders(n, pats)) == expected
+            assert counts[n] == len(expected)
+
     def test_streams_one_word_at_a_time(self):
         # Collecting the 208,012 words first peaks at about 30 MB.
         tracemalloc.start()
@@ -173,6 +193,52 @@ class TestAvoiderEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestWalk:
+    """_walk visits each avoider shorter than n once, with the letters
+    that extend it; the avoiders of length n are never nodes."""
+
+    @staticmethod
+    def nodes(n, patset):
+        return [
+            (depth, tuple(word[:depth]), list(letters))
+            for depth, word, letters in _walk(n, PatternSet.parse(patset))
+        ]
+
+    @pytest.mark.parametrize(
+        "patset",
+        ["021", "021,1001", "1001", "0000", "0102,0100", "00", "0", "021,0"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 6])
+    def test_nodes_are_the_shorter_avoiders(self, patset, n):
+        names = patset.split(",")
+        nodes = self.nodes(n, patset)
+        assert len(nodes) == sum(
+            len(brute_force_avoiders(d, names)) for d in range(n)
+        )
+        for d in range(n):
+            at_d = [(word, letters) for depth, word, letters in nodes
+                    if depth == d]
+            assert [w for w, _ in at_d] == brute_force_avoiders(d, names)
+            assert [w + (c,) for w, letters in at_d for c in letters] == (
+                brute_force_avoiders(d + 1, names)
+            )
+
+    def test_count_pushes_no_leaf(self, monkeypatch):
+        # An avoider of length n is never a node, so only the nodes of
+        # length 1..n-1 are pushed: b_1 + ... + b_(n-1) pushes.
+        pushes = 0
+        push = _Matcher.push
+
+        def counting_push(self, a):
+            nonlocal pushes
+            pushes += 1
+            return push(self, a)
+
+        monkeypatch.setattr(_Matcher, "push", counting_push)
+        counts = count_avoiders("1001", 9).counts
+        assert pushes == sum(counts[1:9])
 
 
 class TestCountVector:
