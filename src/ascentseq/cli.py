@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure (a counterexample or
 mismatch is printed), 2 usage error.  All output is deterministic for a
 given command line.  Each command's JSON output conforms to the
-versioned schema shipped under schemas/.
+versioned schema shipped under schemas/.  Each subcommand imports the
+library modules it runs, so starting the CLI loads none of them.
 """
 
 from __future__ import annotations
@@ -11,16 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
-
-from .core import _check_length
-from .patterns import PatternSet, count_avoiders
-from .recur import jump_distribution, pjum_distribution
-from .series import RESTRICTIVE_PATTERNS, gf_catalog
 
 
 def load_schema(command: str, version: int = 1) -> dict:
     """The JSON schema describing a command's --format json output."""
+    from importlib import resources
+
     text = (
         resources.files("ascentseq.schemas")
         .joinpath(f"{command}.v{version}.schema.json")
@@ -104,6 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args, parser) -> int:
+    from .patterns import count_avoiders
+
     cv = count_avoiders(args.patterns, args.horizon)
     if args.format == "json":
         text = _json(cv.to_json_dict())
@@ -116,6 +115,10 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_series(args, parser) -> int:
+    from .core import _check_length
+    from .patterns import PatternSet, count_avoiders
+    from .series import gf_catalog
+
     _check_length(args.order)  # gf_catalog has no cap of its own
     series = gf_catalog(args.pattern, args.order)
     coeffs = series.int_coeffs()
@@ -185,6 +188,8 @@ def _cmd_bijection(args, parser) -> int:
 
 
 def _cmd_distribution(args, parser) -> int:
+    from .recur import jump_distribution, pjum_distribution
+
     if args.statistic == "pjum":
         if not args.patterns:
             parser.error("pjum distribution needs --patterns")
@@ -199,6 +204,9 @@ def _cmd_distribution(args, parser) -> int:
 
 
 def _cmd_catalog(args, parser) -> int:
+    from .core import _check_length
+    from .series import RESTRICTIVE_PATTERNS, gf_catalog
+
     _check_length(args.order)  # gf_catalog has no cap of its own
     names = [args.pattern] if args.pattern else ["021", *RESTRICTIVE_PATTERNS]
     entries = []

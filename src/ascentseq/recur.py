@@ -7,7 +7,7 @@ count identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import _check_length
 from .patterns import (
@@ -18,7 +18,12 @@ from .patterns import (
     _walk,
     normalize_pattern,
 )
-from .series import P, PowerSeries, expand_ratio
+
+if TYPE_CHECKING:
+    from .series import PowerSeries
+
+# series and fractions are imported by the two functions that use them,
+# so that the distribution and bijection commands never load them.
 
 
 @dataclass(frozen=True)
@@ -196,11 +201,6 @@ def b_table_0111(horizon: int) -> DistributionTable:
     )
 
 
-_A_1001 = (P(0, 0, 0, 1), P(1, -1) ** 3)  # x^3 / (1-x)^3
-_B_1001 = (P(0, 1, -1, 1), P(1, -1) ** 3)  # x(1-x+x^2) / (1-x)^3
-_C_1001 = (P(0, 1), P(1, -1) ** 2)  # x / (1-x)^2
-
-
 def f_series_1001(i_max: int, order: int) -> list[PowerSeries]:
     """The series f_0..f_{i_max} counting nonempty 021- and 1001-avoiders
     with a given pjum value, from the mutually recursive system
@@ -210,44 +210,48 @@ def f_series_1001(i_max: int, order: int) -> list[PowerSeries]:
 
     Truncation makes the infinite sums finite: pjum = j needs length at
     least 2j+1, so f_j vanishes to the working order once 2j+1 > order.
-    The system is iterated to a fixed point and the equations re-checked.
+    The three coefficient series have no constant term, so coefficient n
+    of every f_i depends only on coefficients below n: the system is
+    solved one coefficient at a time and the equations re-checked.
     """
+    from .series import P, PowerSeries, expand_ratio
+
     if i_max < 0 or order < 1:
         raise ValueError("need i_max >= 0 and order >= 1")
-    j_top = max(i_max, (order - 1) // 2 if order >= 1 else 0)
+    j_top = max(i_max, (order - 1) // 2)
     ncoef = order + 1
-    A = expand_ratio(*_A_1001, order)
-    B = expand_ratio(*_B_1001, order)
-    C = expand_ratio(*_C_1001, order)
+    A = expand_ratio(P(0, 0, 0, 1), P(1, -1) ** 3, order)  # x^3 / (1-x)^3
+    B = expand_ratio(P(0, 1, -1, 1), P(1, -1) ** 3, order)  # x(1-x+x^2) / (1-x)^3
+    C = expand_ratio(P(0, 1), P(1, -1) ** 2, order)  # x / (1-x)^2
     x_over_1mx = expand_ratio(P(0, 1), P(1, -1), order)
-    zero = PowerSeries([Fraction(0)] * ncoef)
-    f = [zero] * (j_top + 1)
-    for _ in range(ncoef + 1):
-        total = zero
-        for s in f:
-            total = total + s
-        new = list(f)
-        new[0] = x_over_1mx + C * total
-        tail = total
+    # Every denominator is a power of 1 - x, so the solve runs on integers.
+    a, b, c, g = (s.int_coeffs() for s in (A, B, C, x_over_1mx))
+    # coeffs[i][n] is coefficient n of f_i, tails[i][n] that of sum_{j>=i} f_j.
+    coeffs = [[0] * ncoef for _ in range(j_top + 1)]
+    tails = [[0] * ncoef for _ in range(j_top + 2)]
+    for n in range(ncoef):
+        coeffs[0][n] = g[n] + sum(
+            c[k] * tails[0][n - k] for k in range(1, n + 1)
+        )
         for i in range(1, j_top + 1):
-            tail = tail - f[i - 1]
-            new[i] = A * f[i - 1] + B * tail
-        if new == f:
-            break
-        f = new
-    else:
-        raise ArithmeticError("1001 series system did not reach a fixed point")
-    # Re-check the recurrences on the fixed point.
-    total = zero
-    for s in f:
+            prev, tail = coeffs[i - 1], tails[i]
+            coeffs[i][n] = sum(
+                a[k] * prev[n - k] + b[k] * tail[n - k] for k in range(1, n + 1)
+            )
+        for i in range(j_top, -1, -1):
+            tails[i][n] = tails[i + 1][n] + coeffs[i][n]
+    f = [PowerSeries(cs) for cs in coeffs]
+    # Re-check the recurrences on the solution.
+    total = f[0]
+    for s in f[1:]:
         total = total + s
     if f[0] != x_over_1mx + C * total:
-        raise ArithmeticError("1001 fixed point violates the f_0 equation")
+        raise ArithmeticError("1001 solution violates the f_0 equation")
     tail = total
     for i in range(1, j_top + 1):
         tail = tail - f[i - 1]
         if f[i] != A * f[i - 1] + B * tail:
-            raise ArithmeticError(f"1001 fixed point violates the f_{i} equation")
+            raise ArithmeticError(f"1001 solution violates the f_{i} equation")
     return f[: i_max + 1]
 
 
@@ -264,6 +268,8 @@ def closed_form_count(pattern, n: int) -> int:
     rationals so the n = 1 edge needs no special case; integrality is
     asserted.
     """
+    from fractions import Fraction
+
     letters = normalize_pattern(pattern).letters
     kind = _CLOSED_FORMS.get(letters)
     if kind is None:

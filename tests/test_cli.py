@@ -97,7 +97,7 @@ class TestSeries:
             coeffs[-1] += 1
             return series_mod.PowerSeries(coeffs)
 
-        monkeypatch.setattr(cli, "gf_catalog", tampered)
+        monkeypatch.setattr(series_mod, "gf_catalog", tampered)
         code, _, err = run(
             capsys, "series", "--pattern", "0011", "--order", "6",
             "--verify-n", "6",
@@ -106,10 +106,12 @@ class TestSeries:
         assert "verification failed" in err
 
     def test_internal_check_failure_exits_one(self, capsys, monkeypatch):
+        from ascentseq import series as series_mod
+
         def broken(pattern, order):
             raise ArithmeticError("series is not integral")
 
-        monkeypatch.setattr(cli, "gf_catalog", broken)
+        monkeypatch.setattr(series_mod, "gf_catalog", broken)
         code, out, err = run(capsys, "series", "--pattern", "0011", "--order", "6")
         assert code == 1
         assert out == ""
