@@ -16,6 +16,8 @@ from typing import Callable, Iterator, Sequence
 
 from .core import (
     Word,
+    _check_length,
+    _grow,
     bounded_jump_words,
     canonical_sequence,
     format_sequence,
@@ -580,27 +582,21 @@ def staircase_tuples(n: int, r: int) -> Iterator[StaircaseTuple]:
     """All (r+1)-tuples of staircase words from 0 (first nonempty, the
     rest possibly empty) whose lengths sum to n.
     """
-    if n < 1 or r < 0:
+    _check_length(n)
+    if n == 0 or r < 0:
         return
 
-    def build(slot: int, remaining: int, acc: list[tuple[int, ...]]):
-        if slot == r + 1:
-            if remaining == 0:
-                yield StaircaseTuple(tuple(acc))
-            return
-        lengths = range(1, remaining + 1) if slot == 0 else range(0, remaining + 1)
-        for q in lengths:
-            if q == 0:
-                acc.append(())
-                yield from build(slot + 1, remaining, acc)
-                acc.pop()
-            else:
-                for w in staircase_words(q, 0):
-                    acc.append(w)
-                    yield from build(slot + 1, remaining - q, acc)
-                    acc.pop()
+    def moves(state):
+        # A tuple is a word of r + 1 letters, each a staircase word; the
+        # last slot takes the rest of the length.
+        slot, left = state
+        first = 1 if slot == 0 else 0
+        for q in range(left if slot == r else first, left + 1):
+            for w in staircase_words(q) if q else [()]:
+                yield w, (slot + 1, left - q)
 
-    yield from build(0, n, [])
+    for words in _grow(r + 1, (0, n), moves):
+        yield StaircaseTuple(words)
 
 
 def verify_tuple_bijection(r: int, n: int) -> BijectionReport:

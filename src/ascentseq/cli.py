@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (a counterexample or
-mismatch is printed), 2 usage error.  All output is deterministic for a
-given command line.  Each command's JSON output conforms to the
-versioned schema shipped under schemas/.  Each subcommand imports the
-library modules it runs, so starting the CLI loads none of them.
+mismatch is printed), 2 usage error (including an --out file that
+cannot be written).  All output is deterministic for a given command
+line.  Each command's JSON output conforms to the versioned schema
+shipped under schemas/.  Each subcommand imports the library modules
+it runs, so starting the CLI loads none of them.
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ def _cmd_bijection(args, parser) -> int:
             parser.error("tuple-jumps needs --r")
         report = verify_tuple_bijection(args.r, args.n)
     elif args.map_id in BIJECTIONS:
+        if args.r is not None:
+            parser.error(f"--r applies only to tuple-jumps, not {args.map_id}")
         report = verify_bijection(args.map_id, args.n)
     else:
         parser.error(
@@ -244,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(f"error: internal check failed: {exc}\n")
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

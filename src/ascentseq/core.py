@@ -157,27 +157,48 @@ def _check_length(n: int) -> None:
         raise ValueError(f"length {n} exceeds cap {MAX_LENGTH}")
 
 
+def _grow(n: int, root, moves) -> Iterator[tuple]:
+    """Yield every length-n word that moves allows, depth first, with the
+    letters after each prefix in the order moves lists them.
+
+    moves(state) returns the (letter, next_state) pairs open after a
+    prefix; root is the state before the first letter.  The loop runs
+    over an explicit stack of move iterators, one per placed letter, the
+    same shape as patterns._walk.  No length cap is checked here: each
+    public caller checks its own length, and staircase_tuples grows a
+    word of r + 1 slots.
+    """
+    if not n:
+        yield ()
+        return
+    word = [None] * n
+    stack = [iter(moves(root))]
+    while stack:
+        depth = len(stack) - 1
+        for letter, state in stack[-1]:
+            word[depth] = letter
+            if depth + 1 == n:
+                yield tuple(word)
+            else:
+                stack.append(iter(moves(state)))
+                break
+        else:
+            stack.pop()
+
+
 def ascent_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every ascent sequence of length n, in lexicographic order.
 
     Lazy: nothing is materialized, so counting A_14 needs no storage.
     """
     _check_length(n)
-    if n == 0:
-        yield ()
-        return
-    word = [0] * n
 
-    def extend(depth: int, asc: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(word)
-            return
-        prev = word[depth - 1]
-        for letter in range(asc + 2):
-            word[depth] = letter
-            yield from extend(depth + 1, asc + 1 if letter > prev else asc)
+    def moves(state):
+        prev, asc = state
+        return [(a, (a, asc + 1 if a > prev else asc)) for a in range(asc + 2)]
 
-    yield from extend(1, 0)
+    # The root has prev = asc = -1, so 0 is the only first letter.
+    yield from _grow(n, (-1, -1), moves)
 
 
 def bounded_jump_words(n: int, max_jumps: int) -> Iterator[tuple[int, ...]]:
@@ -189,35 +210,30 @@ def bounded_jump_words(n: int, max_jumps: int) -> Iterator[tuple[int, ...]]:
         raise ValueError("max_jumps must be non-negative")
     if n == 0:
         return
-    word = [0] * n
 
-    def extend(depth: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(word)
-            return
-        prev = word[depth - 1]
-        for letter in range(prev, prev + budget + 2):
-            word[depth] = letter
-            yield from extend(depth + 1, budget - max(0, letter - prev - 1))
+    def moves(state):
+        if state is None:
+            return [(0, (0, max_jumps))]
+        last, budget = state
+        return [
+            (a, (a, budget - max(0, a - last - 1)))
+            for a in range(last, last + budget + 2)
+        ]
 
-    yield from extend(1, max_jumps)
+    yield from _grow(n, None, moves)
 
 
 def staircase_words(n: int, start: int = 0) -> Iterator[tuple[int, ...]]:
     """Yield the 2^(n-1) staircase words of length n with first letter
     start, in lexicographic order.
     """
-    if n <= 0:
+    _check_length(n)
+    if n == 0:
         return
-    word = [start] * n
 
-    def extend(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == n:
-            yield tuple(word)
-            return
-        prev = word[depth - 1]
-        for letter in (prev, prev + 1):
-            word[depth] = letter
-            yield from extend(depth + 1)
+    def moves(last):
+        if last is None:
+            return [(start, start)]
+        return [(last, last), (last + 1, last + 1)]
 
-    yield from extend(1)
+    yield from _grow(n, None, moves)

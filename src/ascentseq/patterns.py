@@ -12,7 +12,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import Word, _check_length, format_sequence, parse_sequence
+from .core import Word, _check_length, _grow, format_sequence, parse_sequence
 
 PATTERN_021 = (0, 2, 1)
 
@@ -43,10 +43,13 @@ class Pattern:
         return format_sequence(self.letters)
 
 
-def normalize_pattern(word: Word | str) -> Pattern:
+def normalize_pattern(word: Word | str | Pattern) -> Pattern:
     """Relabel a word onto the contiguous alphabet {0..l}, preserving all
-    pairwise {<,>,=} relations.  Idempotent on normalized input.
+    pairwise {<,>,=} relations.  Idempotent on normalized input; a
+    Pattern is returned unchanged.
     """
+    if isinstance(word, Pattern):
+        return word
     letters = _as_letters(word)
     if not letters:
         raise ValueError("cannot normalize an empty word")
@@ -71,7 +74,7 @@ class PatternSet:
         pats = []
         seen = set()
         for w in words:
-            p = w if isinstance(w, Pattern) else normalize_pattern(w)
+            p = normalize_pattern(w)
             if p.letters not in seen:
                 seen.add(p.letters)
                 pats.append(p)
@@ -91,7 +94,7 @@ class PatternSet:
         return len(self.patterns)
 
     def __contains__(self, item: Word | str | Pattern) -> bool:
-        target = item.letters if isinstance(item, Pattern) else _as_letters(item)
+        target = _as_letters(item)
         return any(p.letters == target for p in self.patterns)
 
     def __str__(self) -> str:
@@ -209,7 +212,7 @@ class _Matcher:
 
 def contains(word: Word, pattern: Pattern | Word | str) -> bool:
     """True iff some subsequence of word is order isomorphic to pattern."""
-    pat = pattern if isinstance(pattern, Pattern) else normalize_pattern(pattern)
+    pat = normalize_pattern(pattern)
     matcher = _Matcher(pat)
     for a in word:
         if matcher.completes(a):
@@ -224,7 +227,7 @@ def occurrence_count(word: Word, pattern: Pattern | Word | str) -> int:
     Dynamic program over canonical partial-match states, carrying the
     number of index tuples realizing each state.
     """
-    pat = pattern if isinstance(pattern, Pattern) else normalize_pattern(pattern)
+    pat = normalize_pattern(pattern)
     m = len(pat)
     steps = _Matcher(pat).steps
     states: list[dict[tuple[int, ...], int]] = [dict() for _ in range(m)]
@@ -472,36 +475,25 @@ def all_patterns(length: int) -> list[Pattern]:
     """All normalized patterns of the given length, lexicographically."""
     if length < 1:
         raise ValueError("pattern length must be positive")
-    out: list[Pattern] = []
-    word: list[int] = []
-    used = [False] * length
 
-    def extend(top: int, missing: int) -> None:
-        slots = length - len(word)
-        if slots == 0:
-            if missing == 0:
-                out.append(Pattern(tuple(word)))
-            return
+    def moves(state):
+        top, missing, used, slots = state
         for letter in range(length):
             # A letter above top opens a gap of unseen values below it; a
-            # previously unseen letter at or below top closes one.
+            # previously unseen letter at or below top closes one.  A
+            # prefix with no more gaps than later slots can always close.
             if letter > top:
                 new_missing = missing + (letter - top - 1)
-            elif not used[letter]:
+            elif not used >> letter & 1:
                 new_missing = missing - 1
             else:
                 new_missing = missing
-            if new_missing > slots - 1:
-                continue
-            was_used = used[letter]
-            used[letter] = True
-            word.append(letter)
-            extend(max(top, letter), new_missing)
-            word.pop()
-            used[letter] = was_used
+            if new_missing < slots:
+                yield letter, (
+                    max(top, letter), new_missing, used | 1 << letter, slots - 1
+                )
 
-    extend(-1, 0)
-    return out
+    return [Pattern(w) for w in _grow(length, (-1, 0, 0, length), moves)]
 
 
 def catalan(n: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import _check_length
+from .core import _check_length, bounded_jump_words, jump_count
 from .patterns import (
     PATTERN_021,
     PatternSet,
@@ -151,23 +151,13 @@ def jump_distribution_brute(horizon: int, max_jumps: int) -> DistributionTable:
     _check_length(horizon)
     if max_jumps < 0:
         raise ValueError("max_jumps must be non-negative")
-    rows = [[0] * (max_jumps + 1) for _ in range(horizon)]
-    word = [0] * horizon
-
-    def rec(depth: int, jumps: int) -> None:
-        rows[depth - 1][jumps] += 1
-        if depth == horizon:
-            return
-        prev = word[depth - 1]
-        for letter in range(prev, prev + (max_jumps - jumps) + 2):
-            word[depth] = letter
-            rec(depth + 1, jumps + max(0, letter - prev - 1))
-
-    if horizon:
-        rec(1, 0)
-    return DistributionTable(
-        None, "jum", horizon, tuple(tuple(r) for r in rows)
-    )
+    rows = []
+    for n in range(1, horizon + 1):
+        row = [0] * (max_jumps + 1)
+        for w in bounded_jump_words(n, max_jumps):
+            row[jump_count(w)] += 1
+        rows.append(tuple(row))
+    return DistributionTable(None, "jum", horizon, tuple(rows))
 
 
 def b_table_0111(horizon: int) -> DistributionTable:

@@ -394,7 +394,7 @@ def gf_catalog(pattern: Pattern | str, order: int = DEFAULT_ORDER) -> PowerSerie
     pattern of length four; the 42 non-restrictive ones fall back to the
     Catalan series.  Coefficients are asserted integral.
     """
-    pat = pattern if isinstance(pattern, Pattern) else normalize_pattern(pattern)
+    pat = normalize_pattern(pattern)
     if pat.letters == (0, 2, 1):
         series = catalan_series(order)
     elif len(pat) == 4:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -17,7 +18,7 @@ from ascentseq.bijections import (
     verify_bijection,
     verify_tuple_bijection,
 )
-from ascentseq.core import jump_count
+from ascentseq.core import is_staircase, jump_count
 from ascentseq.patterns import PatternSet, avoiders, count_avoiders
 from ascentseq.recur import jump_distribution
 
@@ -140,6 +141,32 @@ class TestStaircaseTuples:
             hr = h_r_series(r, 8).int_coeffs()
             for n in range(1, 9):
                 assert sum(1 for _ in staircase_tuples(n, r)) == hr[n]
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_tuple_order_against_brute_product(self, r):
+        from ascentseq.series import h_r_series
+
+        hr = h_r_series(r, 7).int_coeffs()
+        # Staircase words from 0 by length, each list in lexicographic
+        # order (staircase words are nondecreasing).
+        words = [[()]] + [
+            [
+                w for w in combinations_with_replacement(range(q), q)
+                if w[0] == 0 and is_staircase(w)
+            ]
+            for q in range(1, 8)
+        ]
+        for n in range(1, 8):
+            brute = [
+                ws
+                for lengths in product(range(n + 1), repeat=r + 1)
+                if sum(lengths) == n and lengths[0]
+                for ws in product(*(words[q] for q in lengths))
+            ]
+            brute.sort(key=lambda ws: [(len(w), w) for w in ws])
+            got = [t.words for t in staircase_tuples(n, r)]
+            assert got == brute
+            assert len(got) == hr[n]
 
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
     def test_bijective_onto_bounded_jump_words(self, r):

@@ -145,6 +145,14 @@ class TestBijection:
             run(capsys, "bijection", "--map", "tuple-jumps", "--n", "5")
         assert exc.value.code == 2
 
+    def test_r_on_class_map_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "bijection", "--map", "1100-to-1000", "--r", "5", "--n", "4")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--r" in captured.err
+
     def test_unknown_map(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "bijection", "--map", "0010-to-1234", "--n", "5")
@@ -306,3 +314,14 @@ class TestOutput:
         assert code == 0
         assert out == ""
         assert target.read_text().splitlines()[5] == "5 33"
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "count", "--patterns", "021", "--n", "3", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not target.exists()

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,6 +135,39 @@ class TestEnumeration:
         got = list(staircase_words(3, 0))
         assert got == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)]
         assert all(is_staircase(w) for w in staircase_words(6, 2))
+
+
+class TestEnumerationOrder:
+    """Each enumerator, in order, against a filtered brute product."""
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_ascent_sequences(self, n):
+        brute = [w for w in product(range(n), repeat=n) if naive_is_ascent_sequence(w)]
+        assert list(ascent_sequences(n)) == brute
+
+    @pytest.mark.parametrize("max_jumps", range(0, 4))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bounded_jump_words(self, n, max_jumps):
+        # combinations_with_replacement lists the nondecreasing words in
+        # lexicographic order.
+        brute = [
+            w for w in combinations_with_replacement(range(n + max_jumps), n)
+            if w[0] == 0 and jump_count(w) <= max_jumps
+        ]
+        assert list(bounded_jump_words(n, max_jumps)) == brute
+
+    @pytest.mark.parametrize("start", [0, 2])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_staircase_words(self, n, start):
+        brute = [
+            w for w in combinations_with_replacement(range(start, start + n), n)
+            if w[0] == start and is_staircase(w)
+        ]
+        assert list(staircase_words(n, start)) == brute
+
+    def test_length_zero_words(self):
+        assert list(bounded_jump_words(0, 2)) == []
+        assert list(staircase_words(0)) == []
 
 
 class TestSerialization:

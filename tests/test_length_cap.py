@@ -20,6 +20,8 @@ from ascentseq import (
     pattern_avoidance_table,
     pjum_distribution,
     pjum_distribution_brute,
+    staircase_tuples,
+    staircase_words,
     verify_bijection,
     verify_tuple_bijection,
     wilf_classify,
@@ -40,6 +42,8 @@ LENGTH_TAKERS = {
     "verify_bijection": lambda n: verify_bijection("1100-to-1000", n),
     "verify_tuple_bijection": lambda n: verify_tuple_bijection(2, n),
     "pattern_avoidance_table": lambda n: pattern_avoidance_table(4, n),
+    "staircase_words": lambda n: staircase_words(n),
+    "staircase_tuples": lambda n: staircase_tuples(n, 2),
     "wilf_classify": lambda n: wilf_classify(4, n),
 }
 

@@ -44,6 +44,10 @@ class TestNormalization:
         with pytest.raises(ValueError):
             normalize_pattern(())
 
+    def test_pattern_passes_through(self):
+        pat = Pattern((0, 2, 1))
+        assert normalize_pattern(pat) is pat
+
     def test_pattern_type_rejects_gaps(self):
         with pytest.raises(ValueError):
             Pattern((0, 2))
