@@ -94,8 +94,10 @@ class PatternSet:
         return len(self.patterns)
 
     def __contains__(self, item: Word | str | Pattern) -> bool:
-        target = _as_letters(item)
-        return any(p.letters == target for p in self.patterns)
+        """Membership up to normalization, as in of(): "032" is in the set
+        of 021.  The empty word is in no set."""
+        letters = _as_letters(item)
+        return bool(letters) and normalize_pattern(letters) in self.patterns
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.patterns)
@@ -195,6 +197,48 @@ class _Matcher:
                     self.last_values[v] = self.last_values.get(v, 0) + 1
         return added
 
+    def completed_after(self, letters: Sequence[int], top: int) -> list[int]:
+        """For each letter c of the increasing letters, the bitmask of
+        the letters below top that would complete the pattern once c is
+        appended, without pushing c; top must exceed every letter seen.
+        Those are the letters completed by the existing top-level states
+        and by the top-level states that c would create, which come only
+        from level m - 2 (or are (c,) when m = 2).
+        """
+        m = self.m
+        if m == 1:
+            return [(1 << top) - 1] * len(letters)
+        last_seen, last = self.steps[m - 1]
+
+        def mask(state: tuple[int, ...]) -> int:
+            if last_seen:
+                return 1 << state[last]
+            lo = state[last - 1] + 1 if last else 0
+            hi = state[last] if last < len(state) else top
+            return (1 << hi) - (1 << lo)
+
+        old = 0
+        for state in self.levels[m - 1]:
+            old |= mask(state)
+        if m == 2:
+            return [old | mask((c,)) for c in letters]
+        new = dict.fromkeys(letters, old)
+        seen, pos = self.steps[m - 2]
+        for state in self.levels[m - 2]:
+            if seen:
+                c = state[pos]
+                if c in new:
+                    new[c] |= mask(state)
+                continue
+            lo = bisect.bisect_right(letters, state[pos - 1]) if pos else 0
+            hi = (
+                bisect.bisect_left(letters, state[pos])
+                if pos < len(state) else len(letters)
+            )
+            for c in letters[lo:hi]:
+                new[c] |= mask(state[:pos] + (c,) + state[pos:])
+        return list(new.values())
+
     def pop(self, token: list[tuple[int, tuple[int, ...]]]) -> None:
         if self.last_seen:
             pos = self.steps[self.m - 1][1]
@@ -275,7 +319,7 @@ def _candidates(native_021: bool, asc: int, lastpos: int) -> Iterable[int]:
 
 
 def _walk(
-    n: int, patterns: PatternSet
+    n: int, patterns: PatternSet, matchers: list[_Matcher] | None = None
 ) -> Iterator[tuple[int, list[int], Sequence[int]]]:
     """Yield (depth, word, letters) at every avoider prefix word[:depth]
     of length 0..n-1, in lexicographic preorder.  letters lists, in
@@ -293,12 +337,17 @@ def _walk(
     When 021 is among the patterns its avoidance is enforced structurally:
     a 021-avoider is exactly an ascent sequence whose positive letters are
     nondecreasing.  That keeps 021 out of the per-letter matcher work.
+
+    A caller that reads the matchers at each yield passes its own, one
+    per pattern other than 021 and in order; at a yield they hold the
+    partial matches of word[:depth].
     """
     if not n:
         return
     rest = [p for p in patterns if p.letters != PATTERN_021]
     native_021 = len(rest) < len(patterns)
-    matchers = [_Matcher(p) for p in rest]
+    if matchers is None:
+        matchers = [_Matcher(p) for p in rest]
     completes = [m.completes for m in matchers]
 
     def kids(asc: int, lastpos: int) -> Sequence[int]:
@@ -456,8 +505,10 @@ def count_avoiders(
     """Count avoiders of every length up to the horizon: a layer-by-layer
     sum over a finitely labelled generating tree when 021 is in the set
     (_layers_021), else one pruned depth-first sweep (_walk) whose nodes
-    are the avoiders shorter than the horizon: each node adds its count
-    of extending letters at the next length.
+    are the avoiders shorter than horizon - 1: each node adds its count
+    of extending letters at the next length, and each deepest node also
+    counts the length-horizon avoiders below each of its letters c, from
+    its own matchers (_Matcher.completed_after), so c is never pushed.
     """
     _check_length(horizon)
     pats = _coerce_patterns(patterns)
@@ -466,8 +517,28 @@ def count_avoiders(
         counts = (1, *(sum(map(sum, layer.values())) for layer in layers))
         return CountVector(pats, horizon, counts)
     counts = [1] + [0] * horizon
-    for depth, _, letters in _walk(horizon, pats):
+    matchers = [_Matcher(p) for p in pats]
+    deepest = horizon - 2
+    span = horizon - 1 if horizon > 1 else horizon
+    for depth, word, letters in _walk(span, pats, matchers):
         counts[depth + 1] += len(letters)
+        if depth != deepest or not letters:
+            continue
+        if depth:
+            prev = word[depth - 1]
+            asc = sum(map(int.__lt__, word[: depth - 1], word[1:depth]))
+        else:
+            prev = asc = -1  # the root, as in _walk
+        blocked = [0] * len(letters)
+        for m in matchers:
+            masks = m.completed_after(letters, asc + 3)
+            blocked = list(map(int.__or__, blocked, masks))
+        total = 0
+        for c, b in zip(letters, blocked):
+            # c opens asc_c + 2 letters, those in b excepted.
+            room = asc + 2 + (c > prev)
+            total += room - (b & ((1 << room) - 1)).bit_count()
+        counts[horizon] += total
     return CountVector(pats, horizon, tuple(counts))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ascentseq.core import ascent_sequences
 from ascentseq.patterns import (
+    PATTERN_021,
     Pattern,
     PatternSet,
     _Matcher,
@@ -230,8 +231,8 @@ class TestWalk:
             )
 
     def test_count_pushes_no_leaf(self, monkeypatch):
-        # An avoider of length n is never a node, so only the nodes of
-        # length 1..n-1 are pushed: b_1 + ... + b_(n-1) pushes.
+        # The avoiders of lengths n - 1 and n are counted from their
+        # grandparent, so only b_1 + ... + b_(n-2) nodes are pushed.
         pushes = 0
         push = _Matcher.push
 
@@ -242,7 +243,7 @@ class TestWalk:
 
         monkeypatch.setattr(_Matcher, "push", counting_push)
         counts = count_avoiders("1001", 9).counts
-        assert pushes == sum(counts[1:9])
+        assert pushes == sum(counts[1:8])
 
 
 class TestCountVector:
@@ -296,6 +297,36 @@ class TestCountVector:
         names = [p.letters for p in pats]
         assert counts[: n + 1] == tuple(
             len(brute_force_avoiders(k, names)) for k in range(n + 1)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(
+                lambda w: normalize_pattern(w).letters != PATTERN_021
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 7),
+    )
+    def test_grandparent_count_matches_search_and_filter(self, raw, n):
+        # Sets without 021: the last two lengths are counted at the
+        # deepest node of the walk, which dfs_counts visits one deeper.
+        pats = PatternSet.of(*raw)
+        counts = count_avoiders(pats, 10).counts
+        assert counts == dfs_counts(pats, 10)
+        names = [p.letters for p in pats]
+        assert counts[: n + 1] == tuple(
+            len(brute_force_avoiders(k, names)) for k in range(n + 1)
+        )
+
+    @pytest.mark.parametrize("patset", ["0", "00", "01", "0,1001"])
+    @pytest.mark.parametrize("horizon", range(4))
+    def test_grandparent_count_at_small_horizons(self, patset, horizon):
+        names = patset.split(",")
+        assert count_avoiders(patset, horizon).counts == tuple(
+            len(brute_force_avoiders(k, names)) for k in range(horizon + 1)
         )
 
     def test_blocked_root_counts_only_the_empty_word(self):
@@ -370,6 +401,11 @@ class TestPatternSet:
         ps = PatternSet.parse("021,0010")
         assert str(ps) == "021,0010"
         assert "021" in ps and "0010" in ps and "1100" not in ps
+
+    def test_membership_normalizes(self):
+        ps = PatternSet.of("021")
+        assert "032" in ps and (0, 5, 3) in ps and Pattern((0, 2, 1)) in ps
+        assert "012" not in ps and "" not in ps and () not in ps
 
     def test_deduplicates(self):
         ps = PatternSet.of("021", "032")

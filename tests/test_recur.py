@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascentseq.patterns import PatternSet, count_avoiders
+from ascentseq.patterns import PatternSet, _layers_021, count_avoiders
 from ascentseq.recur import (
     b_table_0111,
     closed_form_count,
@@ -132,6 +132,32 @@ class TestPjumByLayers:
         for n in range(1, order + 1):
             row = table.row(n) + (0,) * 6
             assert [int(f[n]) for f in fs] == list(row[:6])
+
+    @staticmethod
+    def pjum_columns(patset, horizon):
+        # The layer DP has no length cap: an avoider at slack s has pjum
+        # max(s - 1, 0), as in pjum_distribution.
+        rows = []
+        for d, layer in enumerate(_layers_021(horizon, PatternSet.parse(patset)), 1):
+            row = [0] * d
+            for vec in layer.values():
+                for s, c in enumerate(vec):
+                    row[max(s - 1, 0)] += c
+            rows.append(row)
+        return rows
+
+    def test_recurrences_past_the_cap(self):
+        order = 60
+        table = b_table_0111(order)
+        rows = self.pjum_columns("021,0111", order)
+        for n in range(1, order + 1):
+            row = table.row(n)
+            assert list(row) + [0] * (n - len(row)) == rows[n - 1]
+        fs = f_series_1001(5, order)
+        rows = self.pjum_columns("021,1001", order)
+        for n in range(1, order + 1):
+            row = rows[n - 1] + [0] * 6
+            assert [int(f[n]) for f in fs] == row[:6]
 
 
 class TestJumpDistribution:
