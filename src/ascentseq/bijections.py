@@ -583,7 +583,8 @@ def staircase_tuples(n: int, r: int) -> Iterator[StaircaseTuple]:
     rest possibly empty) whose lengths sum to n.
     """
     _check_length(n)
-    if n == 0 or r < 0:
+    _check_length(r, "r")
+    if n == 0:
         return
 
     def moves(state):

@@ -198,8 +198,6 @@ def _cmd_distribution(args, parser) -> int:
             parser.error("pjum distribution needs --patterns")
         table = pjum_distribution(args.patterns, args.horizon)
     else:
-        if args.max_jumps < 0:
-            parser.error("--max-jumps must be non-negative")
         table = jump_distribution(args.horizon, args.max_jumps)
     text = _json(table.to_json_dict()) if args.format == "json" else table.to_tsv()
     _emit(text, args.out)

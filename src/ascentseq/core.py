@@ -150,11 +150,12 @@ def canonical_sequence(word: Word) -> str:
     return ",".join(str(a) for a in word)
 
 
-def _check_length(n: int) -> None:
+def _check_length(n: int, name: str = "length") -> None:
+    """Reject a length, or a jump bound, outside 0..MAX_LENGTH."""
     if n < 0:
-        raise ValueError("length must be non-negative")
+        raise ValueError(f"{name} must be non-negative")
     if n > MAX_LENGTH:
-        raise ValueError(f"length {n} exceeds cap {MAX_LENGTH}")
+        raise ValueError(f"{name} {n} exceeds cap {MAX_LENGTH}")
 
 
 def _grow(n: int, root, moves) -> Iterator[tuple]:
@@ -206,8 +207,7 @@ def bounded_jump_words(n: int, max_jumps: int) -> Iterator[tuple[int, ...]]:
     max_jumps missing values, in lexicographic order.
     """
     _check_length(n)
-    if max_jumps < 0:
-        raise ValueError("max_jumps must be non-negative")
+    _check_length(max_jumps, "max_jumps")
     if n == 0:
         return
 

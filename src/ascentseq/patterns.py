@@ -114,16 +114,18 @@ def _as_letters(word: Word | str | Pattern) -> tuple[int, ...]:
 class _Matcher:
     """Incremental partial-match tracker for one pattern.
 
-    A state with k matched positions is the tuple of word values bound to
-    the distinct letters of pattern[:k], ordered by pattern letter; the
-    value tuple is strictly increasing by construction, which makes states
-    canonical and cheap to deduplicate.  Appending a word letter extends
-    the states whose constraints it satisfies; completes() asks whether
-    the letter would finish a full occurrence, using only states built
-    from strictly earlier positions.
+    Level k holds the states with k matched positions: a state is the
+    tuple of word values bound to the distinct letters of pattern[:k],
+    ordered by pattern letter, and level 0 holds only the empty state.
+    Values taken from a word are strictly increasing, which makes states
+    canonical and cheap to deduplicate; _layers_021 merges values into
+    classes, so there a state may repeat one, as in (1, 1).  extended()
+    is the one transition rule; blocked() gives the letters that would
+    finish a full occurrence, using only states built from strictly
+    earlier positions.
     """
 
-    __slots__ = ("m", "steps", "levels", "last_seen", "last_values")
+    __slots__ = ("m", "steps", "levels")
 
     def __init__(self, pattern: Pattern):
         letters = pattern.letters
@@ -142,93 +144,75 @@ class _Matcher:
             else:
                 steps.append((False, bisect.bisect_left(prev, t)))
         self.steps = steps
-        self.levels: list[set[tuple[int, ...]]] = [set() for _ in range(self.m)]
-        self.last_seen = steps[self.m - 1][0]
-        # For a repeated final letter, index the top-level states by the
-        # value the final letter must equal: completes() becomes O(1).
-        self.last_values: dict[int, int] = {}
+        # occurrence_count swaps these sets for dicts of counts.
+        self.levels: list = [{()}] + [set() for _ in range(self.m - 1)]
 
-    def completes(self, a: int) -> bool:
-        if self.m == 1:
-            return True
-        if self.last_seen:
-            return a in self.last_values
-        ins = self.steps[self.m - 1][1]
-        for state in self.levels[self.m - 1]:
-            if (ins == 0 or state[ins - 1] < a) and (
-                ins == len(state) or a < state[ins]
-            ):
-                return True
-        return False
+    def extended(self, k: int, a: int) -> Iterator[tuple[tuple, tuple]]:
+        """Yield the (state, next_state) pairs for the states of level k
+        that letter a extends by pattern position k."""
+        seen, pos = self.steps[k]
+        for s in self.levels[k]:
+            if seen:
+                if s[pos] == a:
+                    yield s, s
+            elif (pos == 0 or s[pos - 1] < a) and (pos == len(s) or a < s[pos]):
+                yield s, s[:pos] + (a,) + s[pos:]
 
     def push(self, a: int) -> list[tuple[int, tuple[int, ...]]]:
         """Register an appended letter; returns an undo token for pop()."""
         added: list[tuple[int, tuple[int, ...]]] = []
-        levels = self.levels
-        top = self.m - 1
         # High levels first so the new letter is never used twice.
-        for k in range(self.m - 2, 0, -1):
-            seen, pos = self.steps[k]
-            target = levels[k + 1]
-            if seen:
-                for state in levels[k]:
-                    if state[pos] == a and state not in target:
-                        target.add(state)
-                        added.append((k + 1, state))
-            else:
-                for state in levels[k]:
-                    if (pos == 0 or state[pos - 1] < a) and (
-                        pos == len(state) or a < state[pos]
-                    ):
-                        ns = state[:pos] + (a,) + state[pos:]
-                        if ns not in target:
-                            target.add(ns)
-                            added.append((k + 1, ns))
-        if self.m > 1:
-            s1 = (a,)
-            if s1 not in levels[1]:
-                levels[1].add(s1)
-                added.append((1, s1))
-        if self.last_seen:
-            pos = self.steps[top][1]
-            for k, state in added:
-                if k == top:
-                    v = state[pos]
-                    self.last_values[v] = self.last_values.get(v, 0) + 1
+        for k in range(self.m - 2, -1, -1):
+            target = self.levels[k + 1]
+            for _, ns in self.extended(k, a):
+                if ns not in target:
+                    target.add(ns)
+                    added.append((k + 1, ns))
         return added
+
+    def pop(self, token: list[tuple[int, tuple[int, ...]]]) -> None:
+        for k, state in token:
+            self.levels[k].discard(state)
+
+    def _mask(self, state: tuple[int, ...], top: int) -> int:
+        """The letters below top that complete the pattern from a
+        top-level state."""
+        seen, pos = self.steps[self.m - 1]
+        if seen:
+            return 1 << state[pos]
+        lo = state[pos - 1] + 1 if pos else 0
+        hi = state[pos] if pos < len(state) else top
+        # Two merged values, as in (1, 1), leave no letter between them.
+        return (1 << hi) - (1 << lo) if hi > lo else 0
+
+    def blocked(self, top: int) -> int:
+        """The bitmask of the letters below top that would complete the
+        pattern if appended now; top must exceed every letter seen."""
+        out = 0
+        for state in self.levels[self.m - 1]:
+            out |= self._mask(state, top)
+        return out
 
     def completed_after(self, letters: Sequence[int], top: int) -> list[int]:
         """For each letter c of the increasing letters, the bitmask of
         the letters below top that would complete the pattern once c is
         appended, without pushing c; top must exceed every letter seen.
-        Those are the letters completed by the existing top-level states
-        and by the top-level states that c would create, which come only
-        from level m - 2 (or are (c,) when m = 2).
+        Those are the letters blocked now and those completed by the
+        top-level states that c would create, which come only from level
+        m - 2.
         """
-        m = self.m
-        if m == 1:
-            return [(1 << top) - 1] * len(letters)
-        last_seen, last = self.steps[m - 1]
-
-        def mask(state: tuple[int, ...]) -> int:
-            if last_seen:
-                return 1 << state[last]
-            lo = state[last - 1] + 1 if last else 0
-            hi = state[last] if last < len(state) else top
-            return (1 << hi) - (1 << lo)
-
-        old = 0
-        for state in self.levels[m - 1]:
-            old |= mask(state)
-        if m == 2:
-            return [old | mask((c,)) for c in letters]
+        old = self.blocked(top)
+        if self.m == 1:
+            return [old] * len(letters)
         new = dict.fromkeys(letters, old)
-        seen, pos = self.steps[m - 2]
-        for state in self.levels[m - 2]:
+        # extended(m - 2, c) for every c at once: the letters that fit
+        # between a state's neighbours are one slice of the sorted letters.
+        seen, pos = self.steps[self.m - 2]
+        for state in self.levels[self.m - 2]:
             if seen:
                 c = state[pos]
                 if c in new:
-                    new[c] |= mask(state)
+                    new[c] |= self._mask(state, top)
                 continue
             lo = bisect.bisect_right(letters, state[pos - 1]) if pos else 0
             hi = (
@@ -236,30 +220,18 @@ class _Matcher:
                 if pos < len(state) else len(letters)
             )
             for c in letters[lo:hi]:
-                new[c] |= mask(state[:pos] + (c,) + state[pos:])
+                new[c] |= self._mask(state[:pos] + (c,) + state[pos:], top)
         return list(new.values())
-
-    def pop(self, token: list[tuple[int, tuple[int, ...]]]) -> None:
-        if self.last_seen:
-            pos = self.steps[self.m - 1][1]
-            for k, state in token:
-                if k == self.m - 1:
-                    v = state[pos]
-                    c = self.last_values[v] - 1
-                    if c:
-                        self.last_values[v] = c
-                    else:
-                        del self.last_values[v]
-        for k, state in token:
-            self.levels[k].discard(state)
 
 
 def contains(word: Word, pattern: Pattern | Word | str) -> bool:
     """True iff some subsequence of word is order isomorphic to pattern."""
-    pat = normalize_pattern(pattern)
-    matcher = _Matcher(pat)
-    for a in word:
-        if matcher.completes(a):
+    matcher = _Matcher(normalize_pattern(pattern))
+    # Ranks keep every comparison and keep the masks small and nonnegative.
+    ranks = normalize_pattern(word).letters if len(word) else ()
+    top = max(ranks, default=0) + 1
+    for a in ranks:
+        if matcher.blocked(top) >> a & 1:
             return True
         matcher.push(a)
     return False
@@ -268,37 +240,22 @@ def contains(word: Word, pattern: Pattern | Word | str) -> bool:
 def occurrence_count(word: Word, pattern: Pattern | Word | str) -> int:
     """Number of index subsequences of word order isomorphic to pattern.
 
-    Dynamic program over canonical partial-match states, carrying the
-    number of index tuples realizing each state.
+    Dynamic program over the matcher's partial-match states, each level
+    mapping a state to the number of index tuples realizing it.
     """
-    pat = normalize_pattern(pattern)
-    m = len(pat)
-    steps = _Matcher(pat).steps
-    states: list[dict[tuple[int, ...], int]] = [dict() for _ in range(m)]
+    matcher = _Matcher(normalize_pattern(pattern))
+    m = matcher.m
+    levels = matcher.levels = [{(): 1}] + [{} for _ in range(m - 1)]
     total = 0
     for a in word:
-        for k in range(m - 1, 0, -1):
-            seen, pos = steps[k]
-            for state, count in states[k].items():
-                if seen:
-                    if state[pos] != a:
-                        continue
-                    ns = state
-                else:
-                    if not (
-                        (pos == 0 or state[pos - 1] < a)
-                        and (pos == len(state) or a < state[pos])
-                    ):
-                        continue
-                    ns = state[:pos] + (a,) + state[pos:]
+        # High levels first, as in push.
+        for k in range(m - 1, -1, -1):
+            for state, ns in matcher.extended(k, a):
+                count = levels[k][state]
                 if k == m - 1:
                     total += count
                 else:
-                    states[k + 1][ns] = states[k + 1].get(ns, 0) + count
-        if m == 1:
-            total += 1
-        else:
-            states[1][(a,)] = states[1].get((a,), 0) + 1
+                    levels[k + 1][ns] = levels[k + 1].get(ns, 0) + count
     return total
 
 
@@ -348,12 +305,16 @@ def _walk(
     native_021 = len(rest) < len(patterns)
     if matchers is None:
         matchers = [_Matcher(p) for p in rest]
-    completes = [m.completes for m in matchers]
+    blocked = [m.blocked for m in matchers]
 
     def kids(asc: int, lastpos: int) -> Sequence[int]:
         out = _candidates(native_021, asc, lastpos)
-        for done in completes:
-            out = [c for c in out if not done(c)]
+        if blocked:
+            # Every candidate and every letter so far is below asc + 2.
+            bad = 0
+            for b in blocked:
+                bad |= b(asc + 2)
+            out = [c for c in out if not bad >> c & 1]
         return out
 
     word = [0] * n
@@ -404,7 +365,8 @@ def _layers_021(n: int, patterns: PatternSet) -> Iterator[dict[tuple, list[int]]
     moves: dict[tuple, tuple] = {}
 
     def step(letter: int) -> tuple | None:
-        if any(m.completes(letter) for m in matchers):
+        # A label's values are 0..2 and the letters 0, 2 or 3: all below 4.
+        if any(m.blocked(4) >> letter & 1 for m in matchers):
             return None
         tokens = [m.push(letter) for m in matchers]
         shift = letter == 3
@@ -420,12 +382,6 @@ def _layers_021(n: int, patterns: PatternSet) -> Iterator[dict[tuple, list[int]]
     def load(label: tuple) -> None:
         for (m, k), level in zip(slots, label[1:]):
             m.levels[k] = set(level)
-        for m in matchers:
-            if m.last_seen:
-                pos = m.steps[-1][1]
-                m.last_values = {}
-                for s in m.levels[-1]:
-                    m.last_values[s[pos]] = m.last_values.get(s[pos], 0) + 1
 
     def add(layer: dict, label: tuple | None, counts: list[int]) -> None:
         if label is not None:

@@ -127,8 +127,7 @@ def jump_distribution(horizon: int, max_jumps: int) -> DistributionTable:
     k + 1 above adds k, so next[j] = 2 cur[j] + sum_{t<j} cur[t].
     """
     _check_length(horizon)
-    if max_jumps < 0:
-        raise ValueError("max_jumps must be non-negative")
+    _check_length(max_jumps, "max_jumps")
     rows = []
     cur = [1] + [0] * max_jumps
     for _ in range(horizon):
@@ -149,8 +148,7 @@ def jump_distribution_brute(horizon: int, max_jumps: int) -> DistributionTable:
     row sums across j <= r are the h_r coefficients.
     """
     _check_length(horizon)
-    if max_jumps < 0:
-        raise ValueError("max_jumps must be non-negative")
+    _check_length(max_jumps, "max_jumps")
     rows = []
     for n in range(1, horizon + 1):
         row = [0] * (max_jumps + 1)

@@ -1,8 +1,10 @@
 """The length cap at its two edges, in the library and on the command line.
 
-Every public function that takes a length rejects 25 (one past
-MAX_LENGTH) and -1 with ValueError, and every CLI option that sets a
-length or order exits 2 with nothing on stdout and an error on stderr.
+Every public function that takes a length or a jump bound rejects 25
+(one past MAX_LENGTH) and -1 with ValueError, and every CLI option that
+sets a length, order or jump bound exits 2 with nothing on stdout and an
+error on stderr.  A jump bound is checked before any row or word is
+built, so a huge one fails at once.
 """
 
 from collections.abc import Iterator
@@ -45,6 +47,12 @@ LENGTH_TAKERS = {
     "staircase_words": lambda n: staircase_words(n),
     "staircase_tuples": lambda n: staircase_tuples(n, 2),
     "wilf_classify": lambda n: wilf_classify(4, n),
+    # The jump bound, at a small length.
+    "bounded_jump_words max_jumps": lambda r: bounded_jump_words(3, r),
+    "jump_distribution max_jumps": lambda r: jump_distribution(3, r),
+    "jump_distribution_brute max_jumps": lambda r: jump_distribution_brute(3, r),
+    "staircase_tuples r": lambda r: staircase_tuples(3, r),
+    "verify_tuple_bijection r": lambda r: verify_tuple_bijection(r, 3),
 }
 
 # Each command line takes the out-of-range value in place of "{}".
@@ -67,6 +75,13 @@ COMMANDS = {
         "distribution", "--statistic", "jum", "--horizon", "{}",
     ),
     "catalog --order": ("catalog", "--order", "{}"),
+    "distribution jum --max-jumps": (
+        "distribution", "--statistic", "jum", "--horizon", "3",
+        "--max-jumps", "{}",
+    ),
+    "bijection tuple-jumps --r": (
+        "bijection", "--map", "tuple-jumps", "--r", "{}", "--n", "3",
+    ),
 }
 
 

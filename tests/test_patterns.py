@@ -2,7 +2,7 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ascentseq.core import ascent_sequences
 from ascentseq.patterns import (
@@ -106,6 +106,43 @@ class TestContainment:
         pat = normalize_pattern(rawpat)
         if contains(word, pat):
             assert contains(word + [letter], pat)
+
+    def test_any_integer_letters(self):
+        # Containment and counts depend only on the letters' order.
+        assert contains((-1, -1), "00")
+        assert not contains((-1, 0), "00")
+        assert contains((10**30, -(10**30), 10**30), "101")
+        assert occurrence_count((-3, -1, -3, -2, -3), "010") == 4
+        assert occurrence_count((-2, -2, 5), "001") == 1
+
+
+class TestMatcher:
+    @given(st.lists(st.integers(0, 5), max_size=9), pattern_words)
+    def test_blocked_matches_naive(self, word, rawpat):
+        pat = normalize_pattern(rawpat)
+        assume(not naive_contains(word, pat.letters))
+        matcher = _Matcher(pat)
+        for a in word:
+            matcher.push(a)
+        top = 7
+        blocked = matcher.blocked(top)
+        for a in range(top):
+            assert bool(blocked >> a & 1) == naive_contains(word + [a], pat.letters)
+        # completed_after(c) is what blocked() says once c is pushed.
+        letters = range(top - 1)
+        for c, mask in zip(letters, matcher.completed_after(letters, top)):
+            token = matcher.push(c)
+            assert mask == matcher.blocked(top)
+            matcher.pop(token)
+
+    def test_merged_values_block_nothing_between_them(self):
+        # _layers_021 can leave the state (1, 1) at 0021's last level;
+        # no letter lies strictly between 1 and 1.
+        matcher = _Matcher(normalize_pattern("0021"))
+        matcher.levels[3] = {(1, 1)}
+        assert matcher.blocked(4) == 0
+        matcher.levels[3] = {(0, 2)}
+        assert matcher.blocked(4) == 1 << 1
 
 
 class TestAvoiderEnumeration:
